@@ -32,8 +32,11 @@ def element_distances(geometry: ArrayGeometry, points: np.ndarray) -> np.ndarray
     """(K, n) distances from each input-layer element to each point."""
     pts = _embed_xy(points)
     pos = geometry.first_layer_positions
-    diff = pos[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    # squares summed x + y + z, left to right, with no (K, n, 3) temporary
+    sq = (pos[:, 0, None] - pts[None, :, 0]) ** 2
+    for j in (1, 2):
+        sq += (pos[:, j, None] - pts[None, :, j]) ** 2
+    return np.sqrt(sq)
 
 
 def steering_matrix(geometry: ArrayGeometry, points: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ saved subspace), ``estimate`` (single-scenario estimator reports),
 full grid), and ``plot-data`` (per-figure tidy tables).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical conditioning
-error, 4 optimizer non-convergence.
+error, 4 optimizer non-convergence, 5 optimizer or estimator failure (a
+non-finite objective, a failed gradient self-check, a target without
+orthonormal rows, a rank-deficient estimator or an all-zero estimate).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import matio
 from .bounds import fim_peb, mismatch_metrics, mse_ratio_check
 from .channel import covariance_from_matrix, estimate_covariance, reduce_subspace
 from .config import PRESETS, ScenarioConfig, load_config, load_preset
-from .errors import ConditioningError, ConfigurationError, SimlocError
+from .errors import ConditioningError, ConfigurationError, EstimationError, OptimizationError
 from .estimation import (
     ObservationModel,
     digital_baseline,
@@ -37,11 +39,7 @@ from .estimation import (
     rsls_post_sim,
 )
 from .geometry import build_sim_geometry, fraunhofer_distance
-from .multiport import (
-    build_sim_network,
-    effective_projection_matrix,
-    row_orthonormality_gap,
-)
+from .multiport import build_network, effective_projection_matrix, row_orthonormality_gap
 from .simopt import calibrate_projection, optimize_multistart
 from .sweep import load_records, plot_tables, run_sweep, save_records
 
@@ -49,6 +47,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONDITIONING = 3
 EXIT_NOCONVERGENCE = 4
+EXIT_NUMERICAL = 5
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -128,10 +127,7 @@ def cmd_optimize_sim(args) -> int:
     else:
         u, _ = reduce_subspace(cov, l_fixed=cfg.outputs)
 
-    z_ss = None
-    if cfg.impedance_file:
-        z_ss = matio.load_complex_matrix(cfg.impedance_file)
-    net = build_sim_network(sim_geom, rx_geom, cfg.impedance, z_ss=z_ss)
+    net = build_network(cfg, sim_geom, rx_geom)
     trace = optimize_multistart(net, u.conj().T, cfg.optimizer, restarts=cfg.optimizer_restarts)
     trace.to_csv(out / "trace.csv")
     matio.save_real_vector(out / "eta.rvec", trace.final_eta)
@@ -176,8 +172,7 @@ def _surface_projection(args, cfg, sim_geom, rx_geom, u):
             )
     elif args.eta:
         eta = matio.load_real_vector(args.eta)
-        z_ss = matio.load_complex_matrix(cfg.impedance_file) if cfg.impedance_file else None
-        net = build_sim_network(sim_geom, rx_geom, cfg.impedance, z_ss=z_ss, eta=eta)
+        net = build_network(cfg, sim_geom, rx_geom, eta=eta)
         v = effective_projection_matrix(net)
     else:
         return None, u
@@ -401,9 +396,9 @@ def main(argv: Optional[list] = None) -> int:
     except ConditioningError as exc:
         print(f"numerical conditioning error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
-    except SimlocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OptimizationError, EstimationError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

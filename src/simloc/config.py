@@ -15,7 +15,7 @@ but slow.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -327,7 +327,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
             file_path = path.parent / file_path
         if not file_path.exists():
             raise ConfigurationError(f"impedance.file not found: {file_path}")
-        object.__setattr__(cfg, "impedance_file", str(file_path))
+        cfg = replace(cfg, impedance_file=str(file_path))
     return cfg
 
 

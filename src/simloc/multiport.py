@@ -23,13 +23,17 @@ K -> M projection V(eta) = C_out @ T(eta) @ E_in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
+from . import matio
 from .errors import ConditioningError, ConfigurationError
 from .geometry import ArrayGeometry
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 DEFAULT_Z_SELF = 73.0 + 42.5j  # half-wave-dipole-style self impedance, ohms
 DEFAULT_BETA = 60.0  # mutual coupling amplitude, ohms
@@ -195,6 +199,9 @@ class SimNetwork:
         if self._eta.shape != (n_cells,):
             raise ConfigurationError("eta must have one entry per cell")
         self._fact = None
+        self._input_ports = np.array(
+            [port_index(0, e, "in", elements_per_layer) for e in range(elements_per_layer)]
+        )
 
     # -- configuration ----------------------------------------------------
 
@@ -223,8 +230,7 @@ class SimNetwork:
 
     def input_port_indices(self) -> np.ndarray:
         """Ports driven by the incident field: first-layer input ports."""
-        k = self.elements_per_layer
-        return np.array([port_index(0, e, "in", k) for e in range(k)])
+        return self._input_ports.copy()
 
     def load_diagonal(self) -> np.ndarray:
         """Diagonal of Z_s(eta): both ports of cell c carry j*X(eta_c)."""
@@ -293,6 +299,20 @@ def build_sim_network(
         x0=params.x0,
         cond_threshold=cond_threshold,
     )
+
+
+def build_network(
+    cfg: "ScenarioConfig",
+    geometry: ArrayGeometry,
+    receiver: ArrayGeometry,
+    eta: Optional[np.ndarray] = None,
+) -> SimNetwork:
+    """The scenario's network: Z_ss from ``cfg.impedance_file`` when one is
+    set, otherwise from the analytic provider."""
+    z_ss = None
+    if cfg.impedance_file:
+        z_ss = matio.load_complex_matrix(cfg.impedance_file)
+    return build_sim_network(geometry, receiver, cfg.impedance, z_ss=z_ss, eta=eta)
 
 
 # -- effective projection ---------------------------------------------------

@@ -168,21 +168,29 @@ def _concentrate(
     l = u.shape[1]
     q_h = np.eye(l, dtype=complex)
     c = 1.0 + 0.0j
-    y = u.conj().T
+    u_h = u.conj().T
+    y = u_h
+    # loop invariants; `@` associates left, so w2_vh @ y is w2 @ v^H @ y
+    if with_rotation:
+        vu = v @ u
+    if with_scale:
+        if w2 is None:
+            den = np.vdot(v, v).real
+        else:
+            w2_vh = w2 @ v.conj().T
+            den = np.real(np.trace(w2_vh @ v))
     rounds = 8 if (with_scale and with_rotation) else 1
     for _ in range(rounds):
         if with_rotation:
-            a = c * (v @ u)
+            a = c * vu
             left, _, right = np.linalg.svd(a)
             q_h = left @ right  # unitary closest to c*A
-            y = q_h @ u.conj().T
+            y = q_h @ u_h
         if with_scale:
             if w2 is None:
                 num = np.vdot(v, y)
-                den = np.vdot(v, v).real
             else:
-                num = np.trace(w2 @ v.conj().T @ y)
-                den = np.real(np.trace(w2 @ v.conj().T @ v))
+                num = np.trace(w2_vh @ y)
             if den == 0.0:
                 c = 1.0 + 0.0j
                 break
@@ -383,13 +391,18 @@ def _lbfgs_stage(
     trace: OptimizationTrace,
 ) -> np.ndarray:
     last = {"eta": eta}
+    # the point fun evaluated last and its state: the callback's iterate is
+    # normally that point, so the trace reuses it instead of factorizing again
+    memo = {"x": None, "state": None}
 
     def fun(x: np.ndarray):
         net.set_eta(x)
         try:
             state = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation)
         except ConditioningError:
+            memo["x"] = None
             return 1e9, np.zeros_like(x)
+        memo["x"], memo["state"] = x.copy(), state
         return state.objective, _gradient_from_state(net, state, w2, 1.0)
 
     count = {"n": 0}
@@ -398,11 +411,14 @@ def _lbfgs_stage(
         count["n"] += 1
         if (count["n"] - 1) % max(cfg.trace_every, 1) != 0:
             return
-        try:
-            net.set_eta(x)
-            state = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation)
-        except ConditioningError:
-            return
+        if memo["x"] is not None and np.array_equal(x, memo["x"]):
+            state = memo["state"]
+        else:
+            try:
+                net.set_eta(x)
+                state = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation)
+            except ConditioningError:
+                return
         move = float(np.linalg.norm(x - last["eta"]))
         last["eta"] = x.copy()
         trace.append(state.objective, state.delta_u, state.delta_rel, move)

@@ -27,13 +27,19 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import fim_peb, mismatch_metrics
-from .channel import CovarianceModel, estimate_covariance, reduce_subspace, steering_vector
+from .channel import (
+    CovarianceModel,
+    covariance_from_matrix,
+    estimate_covariance,
+    reduce_subspace,
+    steering_vector,
+)
 from .config import ScenarioConfig
 from .errors import ConfigurationError
 from .estimation import (
@@ -49,8 +55,8 @@ from .estimation import (
 from .geometry import build_sim_geometry, region_at
 from .localizer import localize
 from .matio import load_csv, save_csv
-from .multiport import build_sim_network, effective_projection_matrix, row_orthonormality_gap
-from .simopt import optimize_multistart
+from .multiport import build_network, effective_projection_matrix, row_orthonormality_gap
+from .simopt import calibrate_projection, optimize_multistart
 
 RECORD_HEADER = [
     "scenario_id",
@@ -191,8 +197,6 @@ def run_cell(
         rank_threshold=cfg.covariance.rank_threshold,
     )
     u, d = reduce_subspace(cov, l_fixed=cfg.outputs)
-    from .channel import covariance_from_matrix
-
     cov_l = covariance_from_matrix(
         u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12, mc_samples=cov.mc_samples
     )
@@ -225,10 +229,8 @@ def run_cell(
     v_s = None
     u_basis = u
     if cfg.sweep.sim == "optimize":
-        net = build_sim_network(sim_geom, rx_geom, cfg.impedance)
+        net = build_network(cfg, sim_geom, rx_geom)
         ocfg = cfg.optimizer
-        from dataclasses import replace
-
         ocfg = replace(ocfg, rng_seed=_cell_seed(ocfg.rng_seed, cell_index, 1), trace_every=0)
         trace = optimize_multistart(net, u.conj().T, ocfg, restarts=cfg.optimizer_restarts)
         v_s = trace.scale * effective_projection_matrix(net)
@@ -241,9 +243,7 @@ def run_cell(
     elif cfg.sweep.sim == "eta":
         if eta is None:
             raise ConfigurationError("sweep.sim = 'eta' requires a phase vector")
-        net = build_sim_network(sim_geom, rx_geom, cfg.impedance, eta=eta)
-        from .simopt import calibrate_projection
-
+        net = build_network(cfg, sim_geom, rx_geom, eta=eta)
         cal = calibrate_projection(
             effective_projection_matrix(net), u, w_perp=cfg.optimizer.complement_weights[-1]
         )

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simloc.channel import (
     covariance_from_matrix,
     draw_channel,
+    element_distances,
     estimate_covariance,
     reduce_subspace,
     steering_matrix,
@@ -79,6 +82,35 @@ class TestSteeringVector:
         coeffs = np.polyfit(k, phases, 1)
         resid = phases - np.polyval(coeffs, k)
         assert np.abs(resid).max() < 1e-2
+
+
+class TestElementDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 24),
+        n=st.integers(1, 64),
+        dim=st.sampled_from([2, 3]),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_equals_broadcast_formula(self, seed, k, n, dim, log_scale):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        geom = ArrayGeometry(
+            positions=rng.standard_normal((k, 3)) * scale,
+            layers=1,
+            elements_per_layer=k,
+            spacing=0.005,
+            layer_spacing=0.0,
+            wavelength=0.01,
+            aperture=0.0,
+        )
+        points = rng.standard_normal((n, dim)) * scale * rng.uniform(0.1, 10.0)
+        pts = points if dim == 3 else np.column_stack([points, np.zeros(n)])
+        # the (K, n, 3) broadcast the distances were once computed with
+        diff = geom.first_layer_positions[:, None, :] - pts[None, :, :]
+        expected = np.sqrt((diff**2).sum(axis=2))
+        np.testing.assert_array_equal(element_distances(geom, points), expected)
 
 
 class TestDrawChannel:

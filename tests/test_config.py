@@ -116,3 +116,14 @@ class TestLoadConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError, match="zss.cmat"):
             load_config(path)
+
+    def test_impedance_file_resolved_beside_config(self, tmp_path):
+        doc = minimal_doc()
+        doc["impedance"] = {"provider": "file", "file": "zss.cmat"}
+        (tmp_path / "zss.cmat").write_text("# cmatrix 0 0\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path)
+        assert cfg.impedance_file == str(tmp_path / "zss.cmat")
+        doc["impedance"]["file"] = cfg.impedance_file
+        assert cfg == parse_config(doc)

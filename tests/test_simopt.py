@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simloc import multiport
 from simloc.channel import estimate_covariance, reduce_subspace
 from simloc.geometry import GainModel, GeometryConfig, build_sim_geometry, region_at
 from simloc.multiport import build_sim_network, effective_projection_matrix
 from simloc.simopt import (
     OptimizerConfig,
+    _concentrate,
+    _weight_matrix,
     finite_difference_gradient,
     gradient,
     objective,
@@ -153,6 +158,32 @@ class TestOptimize:
         assert t1.objective == t2.objective
         np.testing.assert_array_equal(t1.final_eta, t2.final_eta)
 
+    def test_trace_reuses_the_evaluated_state(self, monkeypatch):
+        # the traced run factorizes exactly as often as the untraced one and
+        # ends on the same phases, bit for bit
+        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
+        lu_calls = {"n": 0}
+        lu_factor = multiport.sla.lu_factor
+
+        def counting_lu_factor(*args, **kwargs):
+            lu_calls["n"] += 1
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(multiport.sla, "lu_factor", counting_lu_factor)
+        runs = []
+        for trace_every in (1, 0):
+            lu_calls["n"] = 0
+            cfg = OptimizerConfig(
+                rng_seed=3, max_iters=40, target_delta_u=0.0, trace_every=trace_every
+            )
+            trace = optimize(net, u.conj().T, cfg)
+            runs.append((trace, lu_calls["n"]))
+        (traced, traced_lu), (untraced, untraced_lu) = runs
+        assert traced.iterations > len(OptimizerConfig().complement_weights)
+        np.testing.assert_array_equal(traced.final_eta, untraced.final_eta)
+        assert traced.objective[-1] == untraced.objective[-1]
+        assert traced_lu == untraced_lu
+
     def test_gradient_self_check_runs(self):
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
         cfg = OptimizerConfig(
@@ -217,3 +248,62 @@ class TestTraceInvariants:
         m = mismatch_metrics(proj.v_scaled, u)
         assert m.delta_u == pytest.approx(proj.delta_u, rel=1e-12)
         assert m.delta_rel == pytest.approx(proj.delta_rel, rel=1e-12)
+
+
+def _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation):
+    """The gain/rotation alternation as written before its loop invariants
+    were hoisted; the reference for bit-identity."""
+    l = u.shape[1]
+    q_h = np.eye(l, dtype=complex)
+    c = 1.0 + 0.0j
+    y = u.conj().T
+    rounds = 8 if (with_scale and with_rotation) else 1
+    for _ in range(rounds):
+        if with_rotation:
+            a = c * (v @ u)
+            left, _, right = np.linalg.svd(a)
+            q_h = left @ right
+            y = q_h @ u.conj().T
+        if with_scale:
+            if w2 is None:
+                num = np.vdot(v, y)
+                den = np.vdot(v, v).real
+            else:
+                num = np.trace(w2 @ v.conj().T @ y)
+                den = np.real(np.trace(w2 @ v.conj().T @ v))
+            if den == 0.0:
+                c = 1.0 + 0.0j
+                break
+            c = complex(num / den)
+        if not with_rotation:
+            break
+    return c, q_h
+
+
+class TestConcentrate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 24),
+        l=st.integers(1, 6),
+        w_perp=st.sampled_from([None, 0.0, 0.1, 0.2, 0.7]),
+        with_scale=st.booleans(),
+        with_rotation=st.booleans(),
+        zero_v=st.booleans(),
+    )
+    def test_equals_eight_round_reference(
+        self, seed, k, l, w_perp, with_scale, with_rotation, zero_v
+    ):
+        l = min(l, k)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
+        # V comes out of the network as the transpose of a row slice
+        b = rng.standard_normal((k + 3, l)) + 1j * rng.standard_normal((k + 3, l))
+        v = b[:k, :].T
+        if zero_v:
+            v = np.zeros_like(v)
+        w2 = None if w_perp is None else _weight_matrix(u, w_perp)
+        c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
+        c_ref, q_h_ref = _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation)
+        assert c == c_ref
+        np.testing.assert_array_equal(q_h, q_h_ref)

@@ -4,11 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simloc.cli import main
+from simloc.channel import estimate_covariance, reduce_subspace
+from simloc.cli import EXIT_NUMERICAL, main
 from simloc.config import parse_config
-from simloc.matio import load_complex_matrix, load_csv, load_real_vector
+from simloc.geometry import build_sim_geometry, region_at
+from simloc.matio import load_complex_matrix, load_csv, load_real_vector, save_complex_matrix
+from simloc.multiport import build_impedance, build_sim_network, effective_projection_matrix
+from simloc.simopt import calibrate_projection
 from simloc.sweep import (
     RECORD_HEADER,
+    _cell_seed,
     load_records,
     plot_tables,
     run_cell,
@@ -110,6 +115,41 @@ class TestRunCell:
         par = run_sweep(cfg2, with_localizer=False)
         assert [r.row() for r in seq] == [r.row() for r in par]
 
+    def test_eta_cell_uses_file_impedance(self, tmp_path):
+        cfg = tiny_scenario(sweep={"sim": "eta"})
+        sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
+        rng = np.random.default_rng(7)
+        z = build_impedance(sim_geom, cfg.impedance)
+        bump = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+        z_file = z + 2.0 * (bump + bump.T)
+        z_path = tmp_path / "z.cmat"
+        save_complex_matrix(z_path, z_file)
+        cfg = replace(cfg, impedance_file=str(z_path))
+        eta = rng.uniform(-np.pi, np.pi, sim_geom.total_elements)
+
+        records = run_cell(cfg, 0.25, 0.0, 0, eta=eta, with_localizer=False)
+        delta_u = next(r.value for r in records if (r.tag, r.metric) == ("sim", "delta_u"))
+
+        # the cell's basis, and the mismatch of the phases on a given Z_ss
+        cov = estimate_covariance(
+            sim_geom,
+            region_at(0.25, 0.0, cfg.region.diameter_m),
+            cfg.gain,
+            n_samples=cfg.covariance.samples,
+            rng_seed=_cell_seed(cfg.covariance.seed, 0),
+            rank_threshold=cfg.covariance.rank_threshold,
+        )
+        u, _ = reduce_subspace(cov, l_fixed=cfg.outputs)
+
+        def mismatch(z_ss):
+            net = build_sim_network(sim_geom, rx_geom, cfg.impedance, z_ss=z_ss, eta=eta)
+            v = effective_projection_matrix(net)
+            w_perp = cfg.optimizer.complement_weights[-1]
+            return calibrate_projection(v, u, w_perp=w_perp).delta_u
+
+        assert delta_u == mismatch(load_complex_matrix(z_path))
+        assert delta_u != pytest.approx(mismatch(None), rel=1e-3)
+
 
 class TestRecordsIo:
     def test_round_trip(self, tmp_path):
@@ -192,6 +232,34 @@ class TestCli:
         assert code == 4
         assert (out / "trace.csv").exists()
         assert (out / "eta.rvec").exists()
+
+    def test_optimizer_and_estimator_failures_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+                    "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+                    "reduction": {"outputs": 3},
+                    "noise": {"snr_db": [5.0]},
+                    "covariance": {"samples": 500, "seed": 5},
+                    "optimizer": {"max_iters": 10, "restarts": 1, "seed": 0},
+                    "sweep": {"trials": 100, "seed": 1},
+                }
+            )
+        )
+        # a subspace without orthonormal columns: OptimizationError
+        sub_path = tmp_path / "u.cmat"
+        save_complex_matrix(sub_path, 2.0 * np.eye(8, 3))
+        code = main(["optimize-sim", "--config", str(cfg_path), "--subspace", str(sub_path),
+                     "--out-dir", str(tmp_path / "opt")])
+        assert code == EXIT_NUMERICAL == 5
+        # an all-zero projection: EstimationError
+        proj_path = tmp_path / "v.cmat"
+        save_complex_matrix(proj_path, np.zeros((3, 8)))
+        code = main(["estimate", "--config", str(cfg_path), "--projection", str(proj_path),
+                     "--out-dir", str(tmp_path / "est")])
+        assert code == EXIT_NUMERICAL
 
     def test_optimize_sim_immediate_with_infinite_target(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
