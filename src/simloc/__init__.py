@@ -32,12 +32,11 @@ from .geometry import (
 )
 from .multiport import (
     ImpedanceParams,
-    Projection,
     SimNetwork,
     build_impedance,
     build_output_coupling,
     build_sim_network,
-    effective_projection,
+    effective_projection_matrix,
     row_orthonormality_gap,
 )
 from .simopt import (
@@ -52,12 +51,15 @@ from .simopt import (
 )
 from .estimation import (
     EstimationReport,
+    LinearEstimator,
     ObservationModel,
     digital_baseline,
+    estimator_suite,
     mmse_full,
     mmse_post_sim,
     mmse_reduced,
     monte_carlo_mse,
+    reduced_model,
     rsls_ideal,
     rsls_post_sim,
 )

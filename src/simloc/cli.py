@@ -25,19 +25,10 @@ import numpy as np
 
 from . import matio
 from .bounds import fim_peb, mismatch_metrics, mse_ratio_check
-from .channel import covariance_from_matrix, estimate_covariance, reduce_subspace
+from .channel import estimate_covariance, reduce_subspace
 from .config import PRESETS, ScenarioConfig, load_config, load_preset
 from .errors import ConditioningError, ConfigurationError, EstimationError, OptimizationError
-from .estimation import (
-    ObservationModel,
-    digital_baseline,
-    mmse_full,
-    mmse_post_sim,
-    mmse_reduced,
-    monte_carlo_mse,
-    rsls_ideal,
-    rsls_post_sim,
-)
+from .estimation import estimator_suite, monte_carlo_mse, reduced_model
 from .geometry import build_sim_geometry, fraunhofer_distance
 from .multiport import build_network, effective_projection_matrix, row_orthonormality_gap
 from .simopt import calibrate_projection, optimize_multistart
@@ -159,7 +150,7 @@ def _surface_projection(args, cfg, sim_geom, rx_geom, u):
 
     Returns ``(v_scaled, u_basis)`` calibrated with the ensemble-weighted
     gain and output rotation, the same convention the optimizer reports, or
-    ``(None, u)`` when no surface input was given.
+    None when no surface input was given.
     """
     if args.projection and args.eta:
         raise ConfigurationError("give either --eta or --projection, not both")
@@ -175,7 +166,7 @@ def _surface_projection(args, cfg, sim_geom, rx_geom, u):
         net = build_network(cfg, sim_geom, rx_geom, eta=eta)
         v = effective_projection_matrix(net)
     else:
-        return None, u
+        return None
     cal = calibrate_projection(v, u, w_perp=cfg.optimizer.complement_weights[-1])
     return cal.v_scaled, cal.u_basis
 
@@ -184,64 +175,25 @@ def cmd_estimate(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
     sim_geom, rx_geom, cov = _build_covariance(cfg)
-    u, d = reduce_subspace(cov, l_fixed=cfg.outputs)
-    cov_l = covariance_from_matrix(u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12)
-    trunc = cov.truncation_power(cfg.outputs)
-    v, u_basis = _surface_projection(args, cfg, sim_geom, rx_geom, u)
-    k, l = cov.dim, cfg.outputs
+    u, cov_l = reduced_model(cov, cfg.outputs)
+    surface = _surface_projection(args, cfg, sim_geom, rx_geom, u)
 
     results = []
     for snr in cfg.snr_db:
-        sigma_z2 = cfg.noise_variance(snr)
-        suite = {
-            "mmse-ideal": (
-                lambda y: mmse_reduced(y, cov_l, sigma_z2).h_hat,
-                u.conj().T,
-                mmse_reduced(np.zeros(l, dtype=complex), cov_l, sigma_z2).scalar_mse + trunc,
-            ),
-            "rsls-ideal": (
-                lambda y: rsls_ideal(y, u).h_hat,
-                u.conj().T,
-                sigma_z2 * l + trunc,
-            ),
-            "digital-baseline": (
-                lambda y: digital_baseline(y, cov, sigma_z2).h_hat,
-                np.eye(k, dtype=complex),
-                mmse_full(np.zeros(k, dtype=complex), cov, sigma_z2).scalar_mse,
-            ),
-        }
-        if v is not None:
-            suite["mmse-sim"] = (
-                lambda y: mmse_post_sim(y, v, cov_l, sigma_z2).h_hat,
-                v,
-                mmse_post_sim(np.zeros(l, dtype=complex), v, cov_l, sigma_z2).scalar_mse + trunc,
-            )
-            suite["rsls-sim"] = (
-                lambda y: rsls_post_sim(y, v, u_basis, sigma_z2).h_hat,
-                v,
-                rsls_post_sim(np.zeros(l, dtype=complex), v, u_basis, sigma_z2).scalar_mse
-                + trunc,
-            )
-        for tag, (estimator, proj, analytic) in suite.items():
-            mode = "full-array" if proj.shape[0] == k else "sim-projection"
-            model = ObservationModel(
-                mode=mode,
-                cov=cov,
-                noise_variance=sigma_z2,
-                v=None if mode == "full-array" else proj,
-            )
+        suite = estimator_suite(cov, u, cov_l, cfg.noise_variance(snr), surface)
+        for tag, est in suite.items():
             mse, stderr = monte_carlo_mse(
-                model, estimator, trials=cfg.sweep.trials, rng_seed=cfg.sweep.seed
+                est.model, est.estimate, trials=cfg.sweep.trials, rng_seed=cfg.sweep.seed
             )
             results.append(
                 {
                     "scenario_id": f"d{cfg.region.distance_m:g}_b{cfg.region.bearing_rad:g}",
                     "estimator": tag,
                     "snr_db": snr,
-                    "analytic_mse": analytic,
+                    "analytic_mse": est.analytic_mse,
                     "empirical_mse": mse,
                     "empirical_stderr": stderr,
-                    "normalized_analytic_mse": analytic / cov.trace,
+                    "normalized_analytic_mse": est.analytic_mse / cov.trace,
                 }
             )
     (out / "estimate_report.json").write_text(json.dumps(results, indent=2) + "\n")
@@ -253,14 +205,13 @@ def cmd_bounds(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
     sim_geom, rx_geom, cov = _build_covariance(cfg)
-    u, d = reduce_subspace(cov, l_fixed=cfg.outputs)
-    cov_l = covariance_from_matrix(u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12)
-    trunc = cov.truncation_power(cfg.outputs)
-    v, u_basis = _surface_projection(args, cfg, sim_geom, rx_geom, u)
+    u, cov_l = reduced_model(cov, cfg.outputs)
+    surface = _surface_projection(args, cfg, sim_geom, rx_geom, u)
     center = cfg.region.build().center
     report = {"region_center": list(center), "outputs": cfg.outputs}
 
-    if v is not None:
+    if surface is not None:
+        v, u_basis = surface
         m = mismatch_metrics(v, u_basis)
         check = mse_ratio_check(v, u_basis)
         report["mismatch"] = {
@@ -280,12 +231,9 @@ def cmd_bounds(args) -> int:
 
     peb_rows = []
     for snr in cfg.snr_db:
-        sigma_z2 = cfg.noise_variance(snr)
-        if v is not None:
-            rep_est = mmse_post_sim(np.zeros(cfg.outputs, dtype=complex), v, cov_l, sigma_z2)
-        else:
-            rep_est = mmse_reduced(np.zeros(cfg.outputs, dtype=complex), cov_l, sigma_z2)
-        sigma_n2 = (rep_est.scalar_mse + trunc) / cov.dim
+        suite = estimator_suite(cov, u, cov_l, cfg.noise_variance(snr), surface)
+        mmse = suite["mmse-ideal" if surface is None else "mmse-sim"]
+        sigma_n2 = mmse.analytic_mse / cov.dim
         peb = fim_peb(
             sim_geom, np.array([center[0], center[1], cfg.gain.mean_gain, 0.0]), sigma_n2
         )
@@ -307,6 +255,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
     eta = None
+    if args.eta and args.no_sim:
+        raise ConfigurationError("give either --eta or --no-sim, not both")
     if args.eta:
         eta = matio.load_real_vector(args.eta)
         cfg = replace(cfg, sweep=replace(cfg.sweep, sim="eta"))

@@ -229,6 +229,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     impedance_file = _get(imp, "file")
     if provider == "file" and not impedance_file:
         raise ConfigurationError("impedance.file is required for the file provider")
+    if provider != "file" and impedance_file is not None:
+        raise ConfigurationError("impedance.file is only read by the 'file' provider")
     impedance = ImpedanceParams(
         z_self=_complex_field(_get(imp, "z_self", default=[73.0, 42.5]), "impedance.z_self"),
         beta=float(_get(imp, "beta", default=60.0)),

@@ -10,16 +10,19 @@ the rank-L model U diag(D) U^H, and the prior power living outside those L
 modes is reported separately as ``truncation_mse`` instead of being folded
 into the covariance. Monte Carlo evaluation draws from the full-rank model,
 so empirical figures include the truncation penalty.
+
+:func:`estimator_suite` is the compared set at one noise level, each member
+materialized once as its estimator matrix W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .channel import CovarianceModel
+from .channel import CovarianceModel, covariance_from_matrix, reduce_subspace
 from .errors import ConfigurationError, EstimationError
 
 EstimatorFn = Callable[[np.ndarray], np.ndarray]
@@ -63,12 +66,6 @@ class EstimationReport:
     error_covariance: Optional[np.ndarray]
     scalar_mse: Optional[float]
     truncation_mse: float = 0.0
-
-    @property
-    def total_mse(self) -> Optional[float]:
-        if self.scalar_mse is None:
-            return None
-        return self.scalar_mse + self.truncation_mse
 
 
 def _as_columns(y: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -227,6 +224,80 @@ def digital_baseline(r: np.ndarray, cov: CovarianceModel, sigma_z2: float) -> Es
         error_covariance=rep.error_covariance,
         scalar_mse=rep.scalar_mse,
     )
+
+
+# -- the compared suite ------------------------------------------------------
+
+
+def reduced_model(cov: CovarianceModel, l: int) -> Tuple[np.ndarray, CovarianceModel]:
+    """The L dominant eigenvectors U of ``cov`` and the rank-L model
+    U diag(D) U^H that the reduced estimators assume."""
+    u, d = reduce_subspace(cov, l_fixed=l)
+    cov_l = covariance_from_matrix(
+        u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12, mc_samples=cov.mc_samples
+    )
+    return u, cov_l
+
+
+@dataclass(frozen=True)
+class LinearEstimator:
+    """One estimator of the suite, h_hat = W y, with y observed through
+    ``model``; ``analytic_mse`` is the rank-L model error plus the truncated
+    prior power."""
+
+    w: np.ndarray
+    model: ObservationModel
+    analytic_mse: float
+
+    def estimate(self, y: np.ndarray) -> np.ndarray:
+        return self.w @ y
+
+    def exact_mse(self) -> float:
+        """Exact Gaussian-model MSE of h_hat = W P (h + z) under the full
+        covariance, including any out-of-subspace leakage."""
+        w = self.w @ self.model.projection()
+        cov = self.model.cov
+        eye = np.eye(cov.dim)
+        bias_cov = (eye - w) @ cov.r_h @ (eye - w).conj().T
+        noise_cov = self.model.noise_variance * (w @ w.conj().T)
+        return float(np.real(np.trace(bias_cov)) + np.real(np.trace(noise_cov)))
+
+
+def estimator_suite(
+    cov: CovarianceModel,
+    u: np.ndarray,
+    cov_l: CovarianceModel,
+    sigma_z2: float,
+    surface: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Dict[str, LinearEstimator]:
+    """The compared estimators at one noise level, keyed by tag.
+
+    ``cov`` is the full covariance and ``(u, cov_l)`` its rank-L model from
+    :func:`reduced_model`. The suite holds ``mmse-ideal`` and ``rsls-ideal``
+    behind U^H and the ``digital-baseline``; a calibrated surface
+    ``(v, u_basis)`` adds ``mmse-sim`` and ``rsls-sim`` behind V. Each W is
+    the estimator function applied once to the identity.
+    """
+    trunc = cov.truncation_power(u.shape[1])
+    eye_l = np.eye(u.shape[1], dtype=complex)
+    u_h = u.conj().T
+
+    def entry(rep: EstimationReport, v: Optional[np.ndarray], truncation: float):
+        mode = "digital-baseline" if v is None else "sim-projection"
+        model = ObservationModel(mode=mode, cov=cov, noise_variance=sigma_z2, v=v)
+        return LinearEstimator(rep.h_hat, model, rep.scalar_mse + truncation)
+
+    baseline = digital_baseline(np.eye(cov.dim, dtype=complex), cov, sigma_z2)
+    suite = {
+        "mmse-ideal": entry(mmse_reduced(eye_l, cov_l, sigma_z2), u_h, trunc),
+        "rsls-ideal": entry(rsls_ideal(eye_l, u, sigma_z2), u_h, trunc),
+        "digital-baseline": entry(baseline, None, 0.0),
+    }
+    if surface is not None:
+        v, u_basis = surface
+        suite["mmse-sim"] = entry(mmse_post_sim(eye_l, v, cov_l, sigma_z2), v, trunc)
+        suite["rsls-sim"] = entry(rsls_post_sim(eye_l, v, u_basis, sigma_z2), v, trunc)
+    return suite
 
 
 # -- Monte Carlo -------------------------------------------------------------

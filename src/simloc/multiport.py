@@ -264,10 +264,6 @@ class SimNetwork:
         lu, piv = self._factorization()
         return sla.lu_solve((lu, piv), rhs, check_finite=False)
 
-    def transfer_matrix(self) -> np.ndarray:
-        """Dense T(eta); intended for small test instances only."""
-        return self.solve(np.eye(self.n_ports, dtype=complex))
-
 
 def _rcond_from_lu(lu: np.ndarray, anorm: float) -> float:
     gecon = sla.get_lapack_funcs("gecon", (lu,))
@@ -339,58 +335,6 @@ def effective_projection_rowsolve(net: SimNetwork) -> np.ndarray:
     """
     b = net.solve(net.c_out.T)  # T @ C_out^T, plain transpose
     return b[net.input_port_indices(), :].T
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Effective projection with optional mismatch bookkeeping against a target.
-
-    ``scale`` is the concentrated complex gain c minimizing
-    ||c*V - target||_F; mismatch metrics are evaluated on the scaled matrix
-    ``v_scaled = scale * v``.
-    """
-
-    v: np.ndarray
-    target: Optional[np.ndarray] = None
-    scale: complex = 1.0 + 0.0j
-    delta_rel: Optional[float] = None
-    delta_u: Optional[float] = None
-
-    @property
-    def v_scaled(self) -> np.ndarray:
-        return self.scale * self.v
-
-
-def concentrated_scale(v: np.ndarray, target: np.ndarray) -> complex:
-    """Closed-form least-squares complex gain c for ||c*V - target||_F."""
-    denom = np.vdot(v, v).real
-    if denom == 0.0:
-        return 1.0 + 0.0j
-    return complex(np.vdot(v, target) / denom)
-
-
-def effective_projection(
-    net: SimNetwork,
-    target: Optional[np.ndarray] = None,
-    concentrate_scale: bool = True,
-) -> Projection:
-    """Compute V(eta); when a target U^H is given, attach mismatch metrics."""
-    v = effective_projection_matrix(net)
-    if target is None:
-        return Projection(v=v)
-    target = np.asarray(target, dtype=complex)
-    if target.shape != v.shape:
-        raise ConfigurationError(
-            f"target shape {target.shape} does not match projection {v.shape}"
-        )
-    c = concentrated_scale(v, target) if concentrate_scale else 1.0 + 0.0j
-    delta = c * v - target
-    l = target.shape[0]
-    # target rows are orthonormal, so ||target||_F = sqrt(L)
-    delta_rel = float(np.linalg.norm(delta, "fro") / np.sqrt(l))
-    u = target.conj().T
-    delta_u = float(np.linalg.norm(delta @ u, 2))
-    return Projection(v=v, target=target, scale=c, delta_rel=delta_rel, delta_u=delta_u)
 
 
 def row_orthonormality_gap(v: np.ndarray) -> float:

@@ -200,6 +200,25 @@ def _concentrate(
     return c, q_h
 
 
+def _mismatch(
+    v: np.ndarray,
+    u: np.ndarray,
+    w2: Optional[np.ndarray],
+    with_scale: bool,
+    with_rotation: bool,
+) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Concentrate c and Q^H, then the residual Delta = c V - Q^H U^H and its
+    metrics: returns (c, Q^H, Q^H U^H, Delta, delta_U, delta_rel)."""
+    c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
+    y = q_h @ u.conj().T
+    delta = c * v - y
+    if not np.isfinite(delta).all():
+        raise OptimizationError("projection mismatch is not finite")
+    delta_u = float(np.linalg.norm(delta @ u, 2))
+    delta_rel = float(np.linalg.norm(delta, "fro") / np.sqrt(u.shape[1]))
+    return c, q_h, y, delta, delta_u, delta_rel
+
+
 def _evaluate(
     net: SimNetwork,
     u: np.ndarray,
@@ -209,18 +228,13 @@ def _evaluate(
 ) -> _EvalState:
     b = net.solve(net.c_out.T)  # adjoint pass, M columns
     v = b[net.input_port_indices(), :].T
-    c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
-    y = q_h @ u.conj().T
-    delta = c * v - y
+    c, q_h, y, delta, delta_u, delta_rel = _mismatch(v, u, w2, with_scale, with_rotation)
     if w2 is None:
         obj = float(np.linalg.norm(delta, "fro") ** 2)
     else:
         obj = float(np.real(np.trace(w2 @ delta.conj().T @ delta)))
     if not np.isfinite(obj):
         raise OptimizationError("objective is not finite")
-    l = u.shape[1]
-    delta_rel = float(np.linalg.norm(delta, "fro") / np.sqrt(l))
-    delta_u = float(np.linalg.norm(delta @ u, 2))
     return _EvalState(obj, v, c, q_h, y, delta_u, delta_rel, b)
 
 
@@ -508,17 +522,14 @@ def calibrate_projection(
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
     w2 = _weight_matrix(u, w_perp)
-    c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
-    y = q_h @ u.conj().T
-    delta = c * v - y
-    l = u.shape[1]
+    c, q_h, _, _, delta_u, delta_rel = _mismatch(v, u, w2, with_scale, with_rotation)
     return CalibratedProjection(
         v_scaled=c * v,
         u_basis=u @ q_h.conj().T,
         scale=c,
         rotation=q_h.conj().T,
-        delta_u=float(np.linalg.norm(delta @ u, 2)),
-        delta_rel=float(np.linalg.norm(delta, "fro") / np.sqrt(l)),
+        delta_u=delta_u,
+        delta_rel=delta_rel,
     )
 
 

@@ -33,25 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import fim_peb, mismatch_metrics
-from .channel import (
-    CovarianceModel,
-    covariance_from_matrix,
-    estimate_covariance,
-    reduce_subspace,
-    steering_vector,
-)
+from .channel import estimate_covariance, steering_vector
 from .config import ScenarioConfig
 from .errors import ConfigurationError
-from .estimation import (
-    digital_baseline,
-    mmse_full,
-    mmse_post_sim,
-    mmse_reduced,
-    monte_carlo_mse,
-    ObservationModel,
-    rsls_ideal,
-    rsls_post_sim,
-)
+from .estimation import estimator_suite, monte_carlo_mse, reduced_model
 from .geometry import build_sim_geometry, region_at
 from .localizer import localize
 from .matio import load_csv, save_csv
@@ -122,24 +107,6 @@ def load_records(path) -> List[ResultRecord]:
     return [record_from_row(r) for r in rows]
 
 
-def _estimator_matrix(estimator, in_dim: int) -> np.ndarray:
-    """Materialize a linear estimator by applying it to the identity."""
-    return estimator(np.eye(in_dim, dtype=complex))
-
-
-def exact_linear_mse(
-    est_matrix: np.ndarray, proj: np.ndarray, cov: CovarianceModel, sigma_z2: float
-) -> float:
-    """Exact Gaussian-model MSE of h_hat = M (P h + P z) under the full
-    covariance, including any out-of-subspace leakage."""
-    w = est_matrix @ proj
-    k = cov.dim
-    eye = np.eye(k)
-    bias_cov = (eye - w) @ cov.r_h @ (eye - w).conj().T
-    noise_cov = sigma_z2 * (w @ w.conj().T)
-    return float(np.real(np.trace(bias_cov)) + np.real(np.trace(noise_cov)))
-
-
 @dataclass(frozen=True)
 class CellResult:
     records: List[ResultRecord]
@@ -196,11 +163,7 @@ def run_cell(
         rng_seed=_cell_seed(cfg.covariance.seed, cell_index),
         rank_threshold=cfg.covariance.rank_threshold,
     )
-    u, d = reduce_subspace(cov, l_fixed=cfg.outputs)
-    cov_l = covariance_from_matrix(
-        u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12, mc_samples=cov.mc_samples
-    )
-    trunc = cov.truncation_power(cfg.outputs)
+    u, cov_l = reduced_model(cov, cfg.outputs)
     k = cov.dim
     l = cfg.outputs
 
@@ -223,11 +186,10 @@ def run_cell(
 
     emit("covariance", math.nan, "effective_rank", cov.rank)
     emit("covariance", math.nan, "captured_energy", cov.captured_energy(l))
-    emit("covariance", math.nan, "truncation_power", trunc)
+    emit("covariance", math.nan, "truncation_power", cov.truncation_power(l))
 
-    # surface configuration for this cell
-    v_s = None
-    u_basis = u
+    # surface configuration for this cell: the calibrated (V, U Q), if any
+    surface = None
     if cfg.sweep.sim == "optimize":
         net = build_network(cfg, sim_geom, rx_geom)
         ocfg = cfg.optimizer
@@ -240,6 +202,7 @@ def run_cell(
         emit("sim", math.nan, "delta_rel", m.delta_rel)
         emit("sim", math.nan, "row_gap", row_orthonormality_gap(v_s))
         emit("sim", math.nan, "converged", 1.0 if trace.converged else 0.0)
+        surface = (v_s, u_basis)
     elif cfg.sweep.sim == "eta":
         if eta is None:
             raise ConfigurationError("sweep.sim = 'eta' requires a phase vector")
@@ -247,67 +210,24 @@ def run_cell(
         cal = calibrate_projection(
             effective_projection_matrix(net), u, w_perp=cfg.optimizer.complement_weights[-1]
         )
-        v_s = cal.v_scaled
-        u_basis = cal.u_basis
         emit("sim", math.nan, "delta_u", cal.delta_u)
         emit("sim", math.nan, "delta_rel", cal.delta_rel)
-        emit("sim", math.nan, "row_gap", row_orthonormality_gap(v_s))
+        emit("sim", math.nan, "row_gap", row_orthonormality_gap(cal.v_scaled))
+        surface = (cal.v_scaled, cal.u_basis)
 
     snrs = cfg.sweep.snr_db if cfg.sweep.snr_db is not None else cfg.snr_db
     trials = cfg.sweep.trials
     for snr in snrs:
         sigma_z2 = cfg.noise_variance(snr)
-
-        # estimator suite: tag -> (estimator over y, projection matrix,
-        # analytic rank-L model MSE including truncation)
-        suite = {}
-        ident = np.eye(k, dtype=complex)
-        u_h = u.conj().T
-
-        mmse_ideal_rep = mmse_reduced(np.zeros(l, dtype=complex), cov_l, sigma_z2)
-        suite["mmse-ideal"] = (
-            lambda y: mmse_reduced(y, cov_l, sigma_z2).h_hat,
-            u_h,
-            mmse_ideal_rep.scalar_mse + trunc,
-        )
-        suite["rsls-ideal"] = (
-            lambda y: rsls_ideal(y, u).h_hat,
-            u_h,
-            sigma_z2 * l + trunc,
-        )
-        base_rep = mmse_full(np.zeros(k, dtype=complex), cov, sigma_z2)
-        suite["digital-baseline"] = (
-            lambda y: digital_baseline(y, cov, sigma_z2).h_hat,
-            ident,
-            base_rep.scalar_mse,
-        )
-        if v_s is not None:
-            mmse_sim_rep = mmse_post_sim(np.zeros(l, dtype=complex), v_s, cov_l, sigma_z2)
-            suite["mmse-sim"] = (
-                lambda y: mmse_post_sim(y, v_s, cov_l, sigma_z2).h_hat,
-                v_s,
-                mmse_sim_rep.scalar_mse + trunc,
-            )
-            rsls_sim_rep = rsls_post_sim(np.zeros(l, dtype=complex), v_s, u_basis, sigma_z2)
-            suite["rsls-sim"] = (
-                lambda y: rsls_post_sim(y, v_s, u_basis, sigma_z2).h_hat,
-                v_s,
-                rsls_sim_rep.scalar_mse + trunc,
-            )
-
+        suite = estimator_suite(cov, u, cov_l, sigma_z2, surface)
         peb_noise: Dict[str, float] = {}
-        for idx, (tag, (estimator, proj, analytic_mse)) in enumerate(suite.items()):
-            emit(tag, snr, "mse_analytic", analytic_mse)
-            est_matrix = _estimator_matrix(estimator, proj.shape[0])
-            exact = exact_linear_mse(est_matrix, proj, cov, sigma_z2)
+        for idx, (tag, est) in enumerate(suite.items()):
+            emit(tag, snr, "mse_analytic", est.analytic_mse)
+            exact = est.exact_mse()
             emit(tag, snr, "mse_exact", exact)
-            mode = "full-array" if proj.shape[0] == k else "sim-projection"
-            model = ObservationModel(
-                mode=mode, cov=cov, noise_variance=sigma_z2, v=None if mode == "full-array" else proj
-            )
             mse, stderr = monte_carlo_mse(
-                model,
-                estimator,
+                est.model,
+                est.estimate,
                 trials=trials,
                 rng_seed=_cell_seed(cfg.sweep.seed, cell_index, 2, idx, int(round(snr * 1000))),
             )
@@ -315,10 +235,8 @@ def run_cell(
             peb_noise[tag] = exact / k
 
         # position bounds at the white-equivalent residual of the MMSE branch
-        peb_tags = ["mmse-sim"] if "mmse-sim" in peb_noise else ["mmse-ideal"]
-        peb_tags.append("digital-baseline")
         center = np.array(region.center)
-        for tag in peb_tags:
+        for tag in ("mmse-ideal" if surface is None else "mmse-sim", "digital-baseline"):
             sigma_n2 = peb_noise[tag]
             rep = fim_peb(
                 sim_geom,

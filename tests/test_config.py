@@ -70,6 +70,15 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="impedance.file"):
             parse_config(doc)
 
+    def test_analytic_provider_rejects_file(self):
+        doc = minimal_doc()
+        doc["impedance"] = {"provider": "analytic", "file": "z.cmat"}
+        with pytest.raises(ConfigurationError, match="impedance.file"):
+            parse_config(doc)
+        del doc["impedance"]["provider"]  # analytic is the default
+        with pytest.raises(ConfigurationError, match="impedance.file"):
+            parse_config(doc)
+
 
 class TestPresets:
     def test_desk_scale_loads(self):

@@ -7,10 +7,12 @@ from simloc.estimation import (
     ObservationModel,
     digital_baseline,
     draw_gaussian_channels,
+    estimator_suite,
     mmse_full,
     mmse_post_sim,
     mmse_reduced,
     monte_carlo_mse,
+    reduced_model,
     rsls_ideal,
     rsls_post_sim,
 )
@@ -289,3 +291,48 @@ class TestMonteCarlo:
             model, lambda y: mmse_full(y, cov, sigma_z2).h_hat, trials=10_000, rng_seed=35
         )
         assert abs(mse - rep.scalar_mse) <= max(3 * stderr, 0.03 * rep.scalar_mse)
+
+
+class TestEstimatorSuite:
+    def setup_method(self):
+        rng = np.random.default_rng(30)
+        k, l = 12, 4
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        self.cov = covariance_from_matrix(q @ np.diag(0.5 ** np.arange(k)) @ q.conj().T)
+        self.u, self.cov_l = reduced_model(self.cov, l)
+        self.v = self.u.conj().T + 0.05 * (
+            rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
+        )
+        self.rng = rng
+
+    def test_matrices_equal_functional_estimators(self):
+        cov, u, cov_l, v = self.cov, self.u, self.cov_l, self.v
+        sigma_z2 = 0.3
+        trunc = cov.truncation_power(u.shape[1])
+        assert trunc > 0.0
+        reference = {
+            "mmse-ideal": (lambda y: mmse_reduced(y, cov_l, sigma_z2), trunc),
+            "rsls-ideal": (lambda y: rsls_ideal(y, u, sigma_z2), trunc),
+            "digital-baseline": (lambda y: digital_baseline(y, cov, sigma_z2), 0.0),
+            "mmse-sim": (lambda y: mmse_post_sim(y, v, cov_l, sigma_z2), trunc),
+            "rsls-sim": (lambda y: rsls_post_sim(y, v, u, sigma_z2), trunc),
+        }
+        suite = estimator_suite(cov, u, cov_l, sigma_z2, (v, u))
+        assert list(suite) == list(reference)
+        for tag, est in suite.items():
+            fn, truncation = reference[tag]
+            dim = est.model.projection().shape[0]
+            y = self.rng.standard_normal((dim, 7)) + 1j * self.rng.standard_normal((dim, 7))
+            rep = fn(y)
+            got = est.estimate(y)
+            assert np.linalg.norm(got - rep.h_hat) <= 1e-12 * np.linalg.norm(rep.h_hat), tag
+            assert est.analytic_mse == rep.scalar_mse + truncation, tag
+        # behind the ideal projection the rank-L model is exact for the full covariance
+        for tag in ("mmse-ideal", "rsls-ideal"):
+            assert suite[tag].exact_mse() == pytest.approx(suite[tag].analytic_mse, rel=1e-12)
+
+    def test_without_surface_only_ideal_and_baseline(self):
+        suite = estimator_suite(self.cov, self.u, self.cov_l, 0.3)
+        assert list(suite) == ["mmse-ideal", "rsls-ideal", "digital-baseline"]
+        np.testing.assert_array_equal(suite["mmse-ideal"].model.projection(), self.u.conj().T)
+        np.testing.assert_array_equal(suite["digital-baseline"].model.projection(), np.eye(12))

@@ -8,8 +8,6 @@ from simloc.multiport import (
     SimNetwork,
     build_impedance,
     build_sim_network,
-    concentrated_scale,
-    effective_projection,
     effective_projection_matrix,
     effective_projection_rowsolve,
     mutual_coupling,
@@ -17,6 +15,7 @@ from simloc.multiport import (
     row_orthonormality_gap,
     wrap_phase,
 )
+from simloc.simopt import calibrate_projection
 
 
 def desk_network(k_y=16, layers=3, m=4, params=None, seed=None):
@@ -90,7 +89,7 @@ class TestTransferMatrix:
         eta = np.array([0.5, -1.2, 2.0])
         net.set_eta(eta)
         x = 50.0 * np.tan(eta / 2.0)
-        t = net.transfer_matrix()
+        t = net.solve(np.eye(net.n_ports))
         expected = np.diag(1.0 / (z0 + 1j * np.repeat(x, 2)))
         np.testing.assert_allclose(t, expected, rtol=1e-12)
 
@@ -115,7 +114,7 @@ class TestTransferMatrix:
 
     def test_reciprocity_of_t(self):
         net = desk_network(k_y=4, layers=2, m=2, seed=1)
-        t = net.transfer_matrix()
+        t = net.solve(np.eye(net.n_ports))
         np.testing.assert_allclose(t, t.T, atol=1e-12 * np.abs(t).max())
 
     def test_loads_purely_imaginary(self):
@@ -186,17 +185,17 @@ class TestEffectiveProjection:
         v = effective_projection_matrix(net)
         rng = np.random.default_rng(0)
         u, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
-        proj = effective_projection(net, u.conj().T)
-        c = proj.scale
+        cal = calibrate_projection(v, u, w_perp=1.0, with_rotation=False)
+        c = cal.scale
         delta = c * v - u.conj().T
-        assert proj.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(2), rel=1e-12)
-        assert proj.delta_u == pytest.approx(np.linalg.norm(delta @ u, 2), rel=1e-12)
+        assert cal.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(2), rel=1e-12)
+        assert cal.delta_u == pytest.approx(np.linalg.norm(delta @ u, 2), rel=1e-12)
 
     def test_concentrated_scale_minimizes(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         y = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-        c = concentrated_scale(v, y)
+        c = calibrate_projection(v, y.conj().T, w_perp=1.0, with_rotation=False).scale
         base = np.linalg.norm(c * v - y)
         for dc in [0.01, -0.01, 0.01j, -0.01j]:
             assert np.linalg.norm((c + dc) * v - y) >= base

@@ -11,6 +11,7 @@ from simloc.simopt import (
     OptimizerConfig,
     _concentrate,
     _weight_matrix,
+    calibrate_projection,
     finite_difference_gradient,
     gradient,
     objective,
@@ -240,14 +241,15 @@ class TestTraceInvariants:
 
     def test_projection_metrics_equal_bounds_definitions(self):
         from simloc.bounds import mismatch_metrics
-        from simloc.multiport import effective_projection
 
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
         net.set_eta(np.random.default_rng(8).uniform(-3, 3, net.n_cells))
-        proj = effective_projection(net, u.conj().T)
-        m = mismatch_metrics(proj.v_scaled, u)
-        assert m.delta_u == pytest.approx(proj.delta_u, rel=1e-12)
-        assert m.delta_rel == pytest.approx(proj.delta_rel, rel=1e-12)
+        v = effective_projection_matrix(net)
+        for kwargs in ({"w_perp": 1.0, "with_rotation": False}, {}):
+            cal = calibrate_projection(v, u, **kwargs)
+            m = mismatch_metrics(cal.v_scaled, cal.u_basis)
+            assert m.delta_u == pytest.approx(cal.delta_u, rel=1e-12)
+            assert m.delta_rel == pytest.approx(cal.delta_rel, rel=1e-12)
 
 
 def _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation):

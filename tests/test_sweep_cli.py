@@ -8,7 +8,13 @@ from simloc.channel import estimate_covariance, reduce_subspace
 from simloc.cli import EXIT_NUMERICAL, main
 from simloc.config import parse_config
 from simloc.geometry import build_sim_geometry, region_at
-from simloc.matio import load_complex_matrix, load_csv, load_real_vector, save_complex_matrix
+from simloc.matio import (
+    load_complex_matrix,
+    load_csv,
+    load_real_vector,
+    save_complex_matrix,
+    save_real_vector,
+)
 from simloc.multiport import build_impedance, build_sim_network, effective_projection_matrix
 from simloc.simopt import calibrate_projection
 from simloc.sweep import (
@@ -58,13 +64,16 @@ class TestRunCell:
         assert ("mmse-ideal", "peb_m") in metrics
 
     def test_analytic_matches_empirical_within_3_stderr(self):
-        cfg = tiny_scenario()
-        records = run_cell(cfg, 0.25, 0.0, 0, with_localizer=False)
-        by_key = {(r.tag, r.metric): r for r in records}
-        for tag in ("mmse-ideal", "rsls-ideal", "digital-baseline"):
-            exact = by_key[(tag, "mse_exact")].value
-            emp = by_key[(tag, "mse_empirical")]
-            assert abs(emp.value - exact) <= 3 * emp.stderr + 0.02 * exact
+        # 8 outputs on 8 elements: U^H is square, yet the ideal estimators
+        # must still observe U^H r, not r
+        for outputs in (3, 8):
+            cfg = tiny_scenario(reduction={"outputs": outputs})
+            records = run_cell(cfg, 0.25, 0.0, 0, with_localizer=False)
+            by_key = {(r.tag, r.metric): r for r in records}
+            for tag in ("mmse-ideal", "rsls-ideal", "digital-baseline"):
+                exact = by_key[(tag, "mse_exact")].value
+                emp = by_key[(tag, "mse_empirical")]
+                assert abs(emp.value - exact) <= 3 * emp.stderr + 0.02 * exact, (outputs, tag)
 
     def test_exact_equals_analytic_for_ideal_projection(self):
         # no leakage with the exact eigenbasis: the rank-L model total and the
@@ -317,6 +326,25 @@ class TestCli:
         }
         cfg_path.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+
+    def test_sweep_rejects_eta_with_no_sim(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+            "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+            "reduction": {"outputs": 3},
+            "noise": {"snr_db": [5.0]},
+            "covariance": {"samples": 500, "seed": 5},
+            "sweep": {"distances_m": [0.3], "bearings_rad": [0.0], "trials": 100, "seed": 1},
+        }))
+        eta_path = tmp_path / "eta.rvec"
+        save_real_vector(eta_path, np.zeros(16))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--eta", str(eta_path), "--no-sim",
+                     "--no-localizer", "--out-dir", str(out)])
+        assert code == 2
+        assert "give either --eta or --no-sim" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
 
 class TestCliPipelines:
