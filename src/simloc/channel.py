@@ -40,9 +40,20 @@ def element_distances(geometry: ArrayGeometry, points: np.ndarray) -> np.ndarray
 
 
 def steering_matrix(geometry: ArrayGeometry, points: np.ndarray) -> np.ndarray:
-    """(K, n) matrix whose columns are steering vectors for each point."""
+    """(K, n) matrix whose columns are steering vectors for each point.
+
+    The phase is real, so cos and sin of it are written straight into the
+    real and imaginary parts. theta is the imaginary part of the complex
+    quotient -2j*pi*d / wavelength (numpy divides by a real divisor through
+    its reciprocal, and the real part is zero), so the entries equal
+    exp(-2j*pi*d / wavelength) without its complex temporaries.
+    """
     d = element_distances(geometry, points)
-    return np.exp(-2j * np.pi * d / geometry.wavelength)
+    theta = (-2.0 * np.pi * d) * (1.0 / geometry.wavelength)
+    a = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=a.real)
+    np.sin(theta, out=a.imag)
+    return a
 
 
 @dataclass(frozen=True)

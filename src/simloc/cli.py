@@ -9,7 +9,8 @@ full grid), and ``plot-data`` (per-figure tidy tables).
 Exit codes: 0 success, 2 configuration error, 3 numerical conditioning
 error, 4 optimizer non-convergence, 5 optimizer or estimator failure (a
 non-finite objective, a failed gradient self-check, a target without
-orthonormal rows, a rank-deficient estimator or an all-zero estimate).
+orthonormal rows, a rank-deficient estimator or an all-zero or non-finite
+estimate).
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def cmd_bounds(args) -> int:
     for snr in cfg.snr_db:
         suite = estimator_suite(cov, u, cov_l, cfg.noise_variance(snr), surface)
         mmse = suite["mmse-ideal" if surface is None else "mmse-sim"]
-        sigma_n2 = mmse.analytic_mse / cov.dim
+        sigma_n2 = mmse.exact_mse() / cov.dim
         peb = fim_peb(
             sim_geom, np.array([center[0], center[1], cfg.gain.mean_gain, 0.0]), sigma_n2
         )

@@ -107,11 +107,6 @@ def load_records(path) -> List[ResultRecord]:
     return [record_from_row(r) for r in rows]
 
 
-@dataclass(frozen=True)
-class CellResult:
-    records: List[ResultRecord]
-
-
 def _cell_seed(master: int, *parts: int) -> int:
     return int(np.random.SeedSequence([master, *parts]).generate_state(1)[0])
 
@@ -132,13 +127,14 @@ def _localizer_rmse(
     center = np.array(region.center)
     k = geometry.elements_per_layer
     a = steering_vector(geometry, center).entries
-    sq = np.empty(trials)
+    h_hat = np.empty((trials, k), dtype=complex)
     for t in range(trials):
         theta = rng.random() * 2.0 * np.pi
         h = cfg.gain.mean_gain * np.exp(1j * theta) * a
         noise = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(sigma_n2)
-        p_hat, _ = localize(h + noise, geometry, region, cfg.localizer)
-        sq[t] = float(np.sum((p_hat - center) ** 2))
+        h_hat[t] = h + noise
+    p_hats, _ = localize(h_hat, geometry, region, cfg.localizer)
+    sq = np.sum((p_hats - center) ** 2, axis=1)
     rmse = float(np.sqrt(sq.mean()))
     stderr = float(sq.std(ddof=1) / np.sqrt(trials))
     return rmse, stderr

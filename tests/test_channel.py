@@ -113,6 +113,27 @@ class TestElementDistances:
         np.testing.assert_array_equal(element_distances(geom, points), expected)
 
 
+class TestSteeringMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        log_range=st.floats(-2.0, 2.0),
+    )
+    def test_matches_complex_exponential(self, seed, n, log_range):
+        # cos/sin of the real phase against the complex exponential; a
+        # tolerance, not equality, so hosts whose SIMD sin/cos differ by an
+        # ulp from their complex exp still pass
+        sim, _ = build_sim_geometry(
+            GeometryConfig(k_y=16, k_z=2, layers=1, carrier_frequency_hz=28e9)
+        )
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, 2)) * 10.0**log_range
+        d = element_distances(sim, points)
+        expected = np.exp(-2j * np.pi * d / sim.wavelength)
+        np.testing.assert_allclose(steering_matrix(sim, points), expected, rtol=0, atol=1e-15)
+
+
 class TestDrawChannel:
     def test_deterministic_gain_unit_modulus(self):
         geom = line_geometry(8)

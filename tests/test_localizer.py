@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simloc.channel import steering_vector
 from simloc.errors import ConfigurationError, EstimationError
@@ -109,6 +111,52 @@ class TestLocalize:
         region = UncertaintyRegion(center=(0.4, 0.0), diameter=0.2)
         with pytest.raises(EstimationError):
             localize(np.zeros(16, dtype=complex), geom, region)
+        batch = np.ones((3, 16), dtype=complex)
+        batch[1] = 0.0
+        with pytest.raises(EstimationError):
+            localize(batch, geom, region)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_estimate(self, bad):
+        # a NaN score never beats the initial best, so without the check the
+        # search would return the region centre with score -1
+        geom = desk_geometry()
+        region = UncertaintyRegion(center=(0.4, 0.0), diameter=0.2)
+        h = steering_vector(geom, np.array([0.42, 0.03])).entries
+        h[5] = bad
+        with pytest.raises(EstimationError):
+            localize(h, geom, region)
+        batch = np.stack([steering_vector(geom, np.array([0.38, -0.02])).entries, h])
+        with pytest.raises(EstimationError):
+            localize(batch, geom, region)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        noise=st.floats(0.0, 1.0),
+    )
+    def test_batch_rows_equal_single_estimates(self, seed, n, noise):
+        geom = desk_geometry()
+        region = UncertaintyRegion(center=(0.35, 0.05), diameter=0.15)
+        cfg = LocalizerConfig(coarse_grid=12, refine_iters=3, refine_shrink=0.4)
+        rng = np.random.default_rng(seed)
+        batch = np.stack(
+            [
+                rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                * steering_vector(geom, p).entries
+                + noise * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+                for p in region.sample(n, rng)
+            ]
+        )
+        p_hats, scores = localize(batch, geom, region, cfg)
+        assert p_hats.shape == (n, 2) and scores.shape == (n,)
+        for r in range(n):
+            p_hat, score = localize(batch[r], geom, region, cfg)
+            assert isinstance(p_hat, np.ndarray) and p_hat.shape == (2,)
+            assert type(score) is float
+            np.testing.assert_array_equal(p_hats[r], p_hat)
+            assert scores[r] == score
 
     def test_rejects_degenerate_region(self):
         geom = desk_geometry()

@@ -5,7 +5,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import simloc.localizer
 import simloc.sweep
+from simloc.channel import steering_vector
+from simloc.geometry import GeometryConfig, UncertaintyRegion, build_sim_geometry
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,3 +36,29 @@ def test_traced_names_exist_and_install_round_trips():
     finally:
         tracer.uninstall()
     assert simloc.sweep.run_cell is original
+
+
+def test_batched_localize_counts_one_coarse_grid():
+    # the benchmark's localizer counters: one span per localize call and one
+    # coarse grid per call, whatever the batch size
+    tracing = load_tracing()
+    sim, _ = build_sim_geometry(
+        GeometryConfig(k_y=8, k_z=1, layers=1, carrier_frequency_hz=28e9)
+    )
+    region = UncertaintyRegion(center=(0.3, 0.0), diameter=0.1)
+    cfg = simloc.localizer.LocalizerConfig(coarse_grid=8, refine_iters=3)
+    n = 4
+    rng = np.random.default_rng(0)
+    batch = np.stack([steering_vector(sim, p).entries for p in region.sample(n, rng)])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.start()
+        simloc.localizer.localize(batch, sim, region, cfg)
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["localizer.steering_cols"] == cfg.coarse_grid**2 * (
+        1 + cfg.refine_iters * n
+    )
+    assert [span[0] for span in tracer.spans] == ["localizer.localize"]

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simloc.channel import estimate_covariance, reduce_subspace
+from simloc.channel import estimate_covariance, reduce_subspace, steering_vector
 from simloc.cli import EXIT_NUMERICAL, main
-from simloc.config import parse_config
+from simloc.config import load_config, parse_config
+from simloc.estimation import estimator_suite, reduced_model
 from simloc.geometry import build_sim_geometry, region_at
+from simloc.localizer import LocalizerConfig, localize
 from simloc.matio import (
     load_complex_matrix,
     load_csv,
@@ -20,6 +24,7 @@ from simloc.simopt import calibrate_projection
 from simloc.sweep import (
     RECORD_HEADER,
     _cell_seed,
+    _localizer_rmse,
     load_records,
     plot_tables,
     run_cell,
@@ -160,6 +165,36 @@ class TestRunCell:
         assert delta_u != pytest.approx(mismatch(None), rel=1e-3)
 
 
+class TestLocalizerRmse:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(2, 6),
+        log_sigma=st.floats(-5.0, -1.0),
+    )
+    def test_equals_per_trial_loop(self, seed, trials, log_sigma):
+        cfg = replace(
+            tiny_scenario(), localizer=LocalizerConfig(coarse_grid=10, refine_iters=2)
+        )
+        geom, _ = build_sim_geometry(cfg.geometry)
+        region = region_at(0.25, 0.3, 0.15)
+        sigma_n2 = 10.0**log_sigma
+        # one localize call per trial, drawing theta then the noise
+        rng = np.random.default_rng(seed)
+        center = np.array(region.center)
+        k = geom.elements_per_layer
+        a = steering_vector(geom, center).entries
+        sq = np.empty(trials)
+        for t in range(trials):
+            theta = rng.random() * 2.0 * np.pi
+            h = cfg.gain.mean_gain * np.exp(1j * theta) * a
+            noise = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(sigma_n2)
+            p_hat, _ = localize(h + noise, geom, region, cfg.localizer)
+            sq[t] = float(np.sum((p_hat - center) ** 2))
+        expected = (float(np.sqrt(sq.mean())), float(sq.std(ddof=1) / np.sqrt(trials)))
+        assert _localizer_rmse(geom, region, cfg, sigma_n2, trials, seed) == expected
+
+
 class TestRecordsIo:
     def test_round_trip(self, tmp_path):
         cfg = tiny_scenario()
@@ -269,6 +304,43 @@ class TestCli:
         code = main(["estimate", "--config", str(cfg_path), "--projection", str(proj_path),
                      "--out-dir", str(tmp_path / "est")])
         assert code == EXIT_NUMERICAL
+
+    def test_bounds_peb_noise_is_exact_mmse_residual(self, tmp_path):
+        # bounds must map the same residual into the PEB as the sweep does:
+        # the implemented MMSE estimator's exact MSE per element
+        doc = {
+            "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+            "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+            "reduction": {"outputs": 3},
+            "noise": {"snr_db": [0.0, 10.0]},
+            "covariance": {"samples": 800, "seed": 5},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        cfg = load_config(cfg_path)
+        sim_geom, _ = build_sim_geometry(cfg.geometry)
+        cov = estimate_covariance(
+            sim_geom, cfg.region.build(), cfg.gain, n_samples=800, rng_seed=5,
+            rank_threshold=cfg.covariance.rank_threshold,
+        )
+        u, cov_l = reduced_model(cov, cfg.outputs)
+        # an imperfect surface, so that exact and analytic MSE differ
+        rng = np.random.default_rng(4)
+        v = u.conj().T + 0.2 * (rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+        proj_path = tmp_path / "v.cmat"
+        save_complex_matrix(proj_path, v)
+        out = tmp_path / "bounds"
+        assert main(["bounds", "--config", str(cfg_path), "--projection", str(proj_path),
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "bounds_report.json").read_text())
+        cal = calibrate_projection(v, u, w_perp=cfg.optimizer.complement_weights[-1])
+        for row, snr in zip(report["peb"], cfg.snr_db):
+            suite = estimator_suite(
+                cov, u, cov_l, cfg.noise_variance(snr), (cal.v_scaled, cal.u_basis)
+            )
+            mmse = suite["mmse-sim"]
+            assert mmse.analytic_mse != pytest.approx(mmse.exact_mse(), rel=1e-3)
+            assert row["sigma_n2"] == mmse.exact_mse() / cov.dim
 
     def test_optimize_sim_immediate_with_infinite_target(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
