@@ -8,9 +8,8 @@ full grid), and ``plot-data`` (per-figure tidy tables).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical conditioning
 error, 4 optimizer non-convergence, 5 optimizer or estimator failure (a
-non-finite objective, a failed gradient self-check, a target without
-orthonormal rows, a rank-deficient estimator or an all-zero or non-finite
-estimate).
+non-finite objective, a target without orthonormal rows, a rank-deficient
+estimator or an all-zero or non-finite estimate).
 """
 
 from __future__ import annotations

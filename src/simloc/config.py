@@ -240,29 +240,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
     )
 
     opt = _get(doc, "optimizer", default={}, where="config")
-    _check_keys(
-        opt,
-        [
-            "max_iters",
-            "step_size",
-            "method",
-            "complement_weights",
-            "restarts",
-            "seed",
-            "gradient_check_period",
-        ],
-        "optimizer",
-    )
+    _check_keys(opt, ["max_iters", "complement_weights", "restarts", "seed"], "optimizer")
     optimizer = OptimizerConfig(
         max_iters=int(_get(opt, "max_iters", default=4000)),
-        step_size=float(_get(opt, "step_size", default=1e-2)),
         target_delta_u=target_delta_u,
-        gradient_check_period=int(_get(opt, "gradient_check_period", default=0)),
         rng_seed=int(_get(opt, "seed", default=0)),
         complement_weights=tuple(
             float(w) for w in _get(opt, "complement_weights", default=[0.0, 0.1, 0.2])
         ),
-        method=_get(opt, "method", default="lbfgs"),
     )
     optimizer_restarts = int(_get(opt, "restarts", default=5))
     if optimizer_restarts < 1:

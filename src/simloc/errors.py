@@ -18,8 +18,8 @@ class ConditioningError(SimlocError):
 
 
 class OptimizationError(SimlocError):
-    """The surface optimizer hit a non-recoverable numerical state (NaN objective,
-    failed gradient self-check)."""
+    """The surface optimizer hit a non-recoverable numerical state (non-finite
+    objective, target without orthonormal rows)."""
 
 
 class EstimationError(SimlocError):

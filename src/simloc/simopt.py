@@ -6,8 +6,9 @@ concentrated out in closed form (downstream estimators are invariant to a
 global scale of the projection). :func:`objective` and :func:`gradient`
 expose exactly this quantity and its analytic derivative.
 
-:func:`optimize` solves the practical configuration problem, which differs
-from the bare objective in two documented ways:
+:func:`optimize` solves the practical configuration problem with L-BFGS-B,
+one run per annealing stage, on the same analytic gradient. It differs from
+the bare objective in two documented ways:
 
 * the match is weighted by the training ensemble. Input/target pairs
   (r, U^H r) with r drawn from the channel-plus-interference distribution
@@ -37,53 +38,42 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import matio
-from .errors import ConditioningError, OptimizationError
+from .errors import ConditioningError, ConfigurationError, OptimizationError
 from .multiport import (
     SimNetwork,
     input_embedding,
     load_reactance_slope,
 )
 
-_ARMIJO_C1 = 1e-4
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings for :func:`optimize`.
 
-    ``complement_weights`` is the annealed weight schedule for the
-    off-subspace directions; ``(1.0,)`` reproduces the plain unweighted
-    Frobenius objective. ``method`` is "lbfgs" (default) or "gd" (steepest
-    descent with backtracking: step doubled after acceptance, halved up to
-    ``max_halvings`` on rejection). ``max_iters`` caps each annealing
-    stage.
+    ``complement_weights`` is the annealed schedule of the off-subspace
+    weight, each entry in [0, 1]; ``(1.0,)`` reproduces the plain unweighted
+    Frobenius objective. ``max_iters`` caps the L-BFGS iterations of each
+    stage, ``target_delta_u`` is the convergence threshold on the final
+    delta_U, ``rng_seed`` draws the starting phases and ``trace_every`` keeps
+    every n-th iterate in the trace (0 turns it off). Out-of-range values
+    raise :class:`ConfigurationError`.
     """
 
     max_iters: int = 4000
-    step_size: float = 1e-2
-    backtrack_factor: float = 0.5
-    max_halvings: int = 20
-    step_growth: float = 2.0
     target_delta_u: float = 0.1
-    gradient_check_period: int = 0
     rng_seed: int = 0
-    concentrate_scale: bool = True
-    concentrate_rotation: bool = True
     complement_weights: Tuple[float, ...] = (0.0, 0.1, 0.2)
-    method: str = "lbfgs"
     trace_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if self.max_iters < 1:
+            raise ConfigurationError("optimizer.max_iters must be at least 1")
         if self.target_delta_u < 0:
-            raise ValueError("target_delta_u must be nonnegative")
-        if not (0 < self.backtrack_factor < 1):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.method not in ("lbfgs", "gd"):
-            raise ValueError("method must be 'lbfgs' or 'gd'")
+            raise ConfigurationError("target_delta_u must be nonnegative")
         if not self.complement_weights:
-            raise ValueError("complement_weights must not be empty")
+            raise ConfigurationError("optimizer.complement_weights must not be empty")
+        if not all(0.0 <= w <= 1.0 for w in self.complement_weights):
+            raise ConfigurationError("optimizer.complement_weights must lie in [0, 1]")
 
 
 @dataclass
@@ -93,9 +83,8 @@ class OptimizationTrace:
     The objective column carries the weighted objective of the stage each
     row belongs to: it is non-increasing within a stage, but may jump where
     the annealing schedule switches weights. ``rotation`` is the
-    concentrated unitary Q (identity when rotation concentration is off);
-    the delta metrics are measured against the rotated basis U Q, available
-    through :meth:`rotated_basis`.
+    concentrated unitary Q; the delta metrics are measured against the
+    rotated basis U Q, available through :meth:`rotated_basis`.
     """
 
     objective: List[float] = field(default_factory=list)
@@ -239,7 +228,7 @@ def _evaluate(
 
 
 def _gradient_from_state(
-    net: SimNetwork, state: _EvalState, w2: Optional[np.ndarray], weight: float
+    net: SimNetwork, state: _EvalState, w2: Optional[np.ndarray]
 ) -> np.ndarray:
     residual = state.scale * state.v - state.target_eff
     if w2 is not None:
@@ -249,7 +238,7 @@ def _gradient_from_state(
     w = (p * state.b).sum(axis=1)  # diag of (T E_in) R^H (C_out T)
     w_cell = w[0::2] + w[1::2]
     slope = load_reactance_slope(net.eta, net.x0)
-    return -2.0 * weight * slope * np.real(1j * state.scale * w_cell)
+    return -2.0 * slope * np.real(1j * state.scale * w_cell)
 
 
 # -- spec surface: bare objective and gradient --------------------------------
@@ -265,28 +254,17 @@ def _check_target(net: SimNetwork, target: np.ndarray) -> np.ndarray:
     return target
 
 
-def objective(
-    net: SimNetwork,
-    target: np.ndarray,
-    weight: float = 1.0,
-    concentrate_scale: bool = True,
-) -> float:
-    """weight * ||c*V(eta) - target||_F^2 at the network's current phases."""
+def objective(net: SimNetwork, target: np.ndarray, concentrate_scale: bool = True) -> float:
+    """||c*V(eta) - target||_F^2 at the network's current phases."""
     target = _check_target(net, target)
-    state = _evaluate(net, target.conj().T, None, concentrate_scale, False)
-    return weight * state.objective
+    return _evaluate(net, target.conj().T, None, concentrate_scale, False).objective
 
 
-def gradient(
-    net: SimNetwork,
-    target: np.ndarray,
-    weight: float = 1.0,
-    concentrate_scale: bool = True,
-) -> np.ndarray:
+def gradient(net: SimNetwork, target: np.ndarray, concentrate_scale: bool = True) -> np.ndarray:
     """Analytic gradient of :func:`objective` with respect to every phase."""
     target = _check_target(net, target)
     state = _evaluate(net, target.conj().T, None, concentrate_scale, False)
-    return _gradient_from_state(net, state, None, weight)
+    return _gradient_from_state(net, state, None)
 
 
 def finite_difference_gradient(
@@ -304,40 +282,13 @@ def finite_difference_gradient(
         eta = eta0.copy()
         eta[c] = eta0[c] + step
         net.set_eta(eta)
-        e_plus = objective(net, target, 1.0, concentrate_scale)
+        e_plus = objective(net, target, concentrate_scale)
         eta[c] = eta0[c] - step
         net.set_eta(eta)
-        e_minus = objective(net, target, 1.0, concentrate_scale)
+        e_minus = objective(net, target, concentrate_scale)
         out[i] = (e_plus - e_minus) / (2.0 * step)
     net.set_eta(eta0)
     return out
-
-
-def _gradient_self_check(
-    net: SimNetwork,
-    u: np.ndarray,
-    w2: Optional[np.ndarray],
-    cfg: OptimizerConfig,
-    g: np.ndarray,
-    rng: np.random.Generator,
-) -> None:
-    """Spot-check two coordinates of the stage gradient against central FD."""
-    coords = rng.choice(net.n_cells, size=min(2, net.n_cells), replace=False)
-    eta0 = net.eta
-    fd = np.empty(len(coords))
-    for i, c in enumerate(coords):
-        eta = eta0.copy()
-        eta[c] = eta0[c] + 1e-5
-        net.set_eta(eta)
-        e_plus = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation).objective
-        eta[c] = eta0[c] - 1e-5
-        net.set_eta(eta)
-        e_minus = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation).objective
-        fd[i] = (e_plus - e_minus) / 2e-5
-    net.set_eta(eta0)
-    ref = max(float(np.abs(g).max()), 1e-12)
-    if np.abs(fd - g[coords]).max() > 1e-3 * ref:
-        raise OptimizationError("analytic gradient failed its self-check")
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -350,50 +301,6 @@ def _require_orthonormal_rows(target: np.ndarray) -> np.ndarray:
             "optimize() expects a target with orthonormal rows (U^H)"
         )
     return target.conj().T
-
-
-def _gd_stage(
-    net: SimNetwork,
-    u: np.ndarray,
-    w2: Optional[np.ndarray],
-    cfg: OptimizerConfig,
-    eta: np.ndarray,
-    trace: OptimizationTrace,
-    rng: np.random.Generator,
-    last_stage: bool,
-) -> np.ndarray:
-    state = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation)
-    step = cfg.step_size
-    for it in range(cfg.max_iters):
-        if last_stage and state.delta_u <= cfg.target_delta_u:
-            break
-        g = _gradient_from_state(net, state, w2, 1.0)
-        if cfg.gradient_check_period and it % cfg.gradient_check_period == 0:
-            _gradient_self_check(net, u, w2, cfg, g, rng)
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0:
-            break
-        accepted = False
-        for _ in range(cfg.max_halvings + 1):
-            try:
-                net.set_eta(eta - step * g)
-                trial = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation)
-            except ConditioningError:
-                step *= cfg.backtrack_factor
-                continue
-            if trial.objective <= state.objective - _ARMIJO_C1 * step * gnorm2:
-                accepted = True
-                break
-            step *= cfg.backtrack_factor
-        if not accepted:
-            net.set_eta(eta)
-            break
-        eta = eta - step * g
-        state = trial
-        if cfg.trace_every > 0 and it % cfg.trace_every == 0:
-            trace.append(state.objective, state.delta_u, state.delta_rel, step)
-        step *= cfg.step_growth
-    return eta
 
 
 def _lbfgs_stage(
@@ -412,12 +319,12 @@ def _lbfgs_stage(
     def fun(x: np.ndarray):
         net.set_eta(x)
         try:
-            state = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation)
+            state = _evaluate(net, u, w2, True, True)
         except ConditioningError:
             memo["x"] = None
             return 1e9, np.zeros_like(x)
         memo["x"], memo["state"] = x.copy(), state
-        return state.objective, _gradient_from_state(net, state, w2, 1.0)
+        return state.objective, _gradient_from_state(net, state, w2)
 
     count = {"n": 0}
 
@@ -430,7 +337,7 @@ def _lbfgs_stage(
         else:
             try:
                 net.set_eta(x)
-                state = _evaluate(net, u, w2, cfg.concentrate_scale, cfg.concentrate_rotation)
+                state = _evaluate(net, u, w2, True, True)
             except ConditioningError:
                 return
         move = float(np.linalg.norm(x - last["eta"]))
@@ -460,27 +367,21 @@ def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> Optim
     """
     target = _check_target(net, target)
     u = _require_orthonormal_rows(target)
-    rng = np.random.default_rng(cfg.rng_seed)
-    eta = rng.uniform(-np.pi, np.pi, size=net.n_cells)
+    eta = np.random.default_rng(cfg.rng_seed).uniform(-np.pi, np.pi, size=net.n_cells)
     net.set_eta(eta)
     eta = net.eta
 
     trace = OptimizationTrace()
     final_w2 = _weight_matrix(u, cfg.complement_weights[-1])
-    state = _evaluate(net, u, final_w2, cfg.concentrate_scale, cfg.concentrate_rotation)
+    state = _evaluate(net, u, final_w2, True, True)
     trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
 
     if state.delta_u > cfg.target_delta_u:
-        n_stages = len(cfg.complement_weights)
-        for i, w_perp in enumerate(cfg.complement_weights):
-            w2 = _weight_matrix(u, w_perp)
+        for w_perp in cfg.complement_weights:
             trace.stage_bounds.append(len(trace.objective))
-            if cfg.method == "gd":
-                eta = _gd_stage(net, u, w2, cfg, eta, trace, rng, i == n_stages - 1)
-            else:
-                eta = _lbfgs_stage(net, u, w2, cfg, eta, trace)
+            eta = _lbfgs_stage(net, u, _weight_matrix(u, w_perp), cfg, eta, trace)
         net.set_eta(eta)
-        state = _evaluate(net, u, final_w2, cfg.concentrate_scale, cfg.concentrate_rotation)
+        state = _evaluate(net, u, final_w2, True, True)
         trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
 
     trace.converged = state.delta_u <= cfg.target_delta_u

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ class TestParseConfig:
         assert cfg.geometry.receiver_elements == 3
 
     def test_unknown_key_named_in_error(self):
-        doc = minimal_doc()
-        doc["geometry"]["k_w"] = 4
-        with pytest.raises(ConfigurationError, match="geometry.k_w"):
-            parse_config(doc)
+        for block, key in (("geometry", "k_w"), ("optimizer", "method")):
+            doc = minimal_doc()
+            doc.setdefault(block, {})[key] = 4
+            with pytest.raises(ConfigurationError, match=f"{block}.{key}"):
+                parse_config(doc)
 
     def test_underscore_keys_ignored(self):
         doc = minimal_doc()
@@ -78,6 +81,13 @@ class TestParseConfig:
         del doc["impedance"]["provider"]  # analytic is the default
         with pytest.raises(ConfigurationError, match="impedance.file"):
             parse_config(doc)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    parse_config(json.loads(blocks[0]))
 
 
 class TestPresets:

@@ -10,6 +10,8 @@ from simloc.multiport import build_sim_network, effective_projection_matrix
 from simloc.simopt import (
     OptimizerConfig,
     _concentrate,
+    _evaluate,
+    _gradient_from_state,
     _weight_matrix,
     calibrate_projection,
     finite_difference_gradient,
@@ -60,14 +62,6 @@ class TestObjective:
         e = objective(net, target, concentrate_scale=False)
         assert e == pytest.approx(3.0, rel=1e-2)
 
-    def test_weight_multiplies(self):
-        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
-        net.set_eta(np.random.default_rng(2).uniform(-3, 3, net.n_cells))
-        target = u.conj().T
-        assert objective(net, target, weight=2.0) == pytest.approx(
-            2.0 * objective(net, target), rel=1e-12
-        )
-
 
 class TestGradient:
     def test_zero_at_stationary_point(self):
@@ -89,14 +83,6 @@ class TestGradient:
             scale = np.abs(fd) + 1e-9 * np.abs(g).max()
             assert (np.abs(fd - g[coords]) / scale).max() < 1e-5
 
-    def test_doubled_objective_doubles_gradient(self):
-        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
-        net.set_eta(np.random.default_rng(5).uniform(-3, 3, net.n_cells))
-        target = u.conj().T
-        g1 = gradient(net, target)
-        g2 = gradient(net, target, weight=2.0)
-        np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
-
     def test_fd_agreement_without_scale_concentration(self):
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
         net.set_eta(np.random.default_rng(6).uniform(-3, 3, net.n_cells))
@@ -106,6 +92,29 @@ class TestGradient:
         fd = finite_difference_gradient(net, target, coords, concentrate_scale=False)
         scale = np.abs(fd) + 1e-9 * np.abs(g).max()
         assert (np.abs(fd - g[coords]) / scale).max() < 1e-5
+
+    @pytest.mark.parametrize("w_perp", [0.0, 0.1, 0.2])
+    def test_stage_gradient_matches_central_differences(self, w_perp):
+        # the gradient L-BFGS follows: weighted, gain and rotation concentrated
+        net, u = desk_setup()
+        w2 = _weight_matrix(u, w_perp)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            eta0 = rng.uniform(-3.0, 3.0, net.n_cells)
+            net.set_eta(eta0)
+            g = _gradient_from_state(net, _evaluate(net, u, w2, True, True), w2)
+            fd = np.empty(net.n_cells)
+            for c in range(net.n_cells):
+                sides = []
+                for step in (1e-5, -1e-5):
+                    eta = eta0.copy()
+                    eta[c] += step
+                    net.set_eta(eta)
+                    sides.append(_evaluate(net, u, w2, True, True).objective)
+                fd[c] = (sides[0] - sides[1]) / 2e-5
+            # criterion 5's bound, with its 1e-4 floor for the FD roundoff
+            ref = np.maximum(np.abs(fd), 1e-4 * np.abs(g).max())
+            assert (np.abs(g - fd) / ref).max() <= 1e-5
 
 
 class TestOptimize:
@@ -121,35 +130,6 @@ class TestOptimize:
         trace = optimize(net, u.conj().T, cfg)
         assert trace.converged
         assert trace.iterations == 0
-
-    def test_gd_objective_monotone_within_stage(self):
-        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
-        cfg = OptimizerConfig(
-            rng_seed=1,
-            method="gd",
-            max_iters=150,
-            complement_weights=(1.0,),
-            concentrate_rotation=False,
-            target_delta_u=0.0,
-        )
-        trace = optimize(net, u.conj().T, cfg)
-        obj = np.array(trace.objective[1:-1])  # rows of the single stage
-        assert np.all(np.diff(obj) <= 1e-12)
-
-    def test_gd_monotone_over_random_restarts(self):
-        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
-        for seed in range(5):
-            cfg = OptimizerConfig(
-                rng_seed=seed,
-                method="gd",
-                max_iters=40,
-                complement_weights=(1.0,),
-                concentrate_rotation=False,
-                target_delta_u=0.0,
-            )
-            trace = optimize(net, u.conj().T, cfg)
-            obj = np.array(trace.objective[1:-1])
-            assert np.all(np.diff(obj) <= 1e-12)
 
     def test_determinism(self):
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
@@ -184,14 +164,6 @@ class TestOptimize:
         np.testing.assert_array_equal(traced.final_eta, untraced.final_eta)
         assert traced.objective[-1] == untraced.objective[-1]
         assert traced_lu == untraced_lu
-
-    def test_gradient_self_check_runs(self):
-        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
-        cfg = OptimizerConfig(
-            rng_seed=0, method="gd", max_iters=6, gradient_check_period=2,
-            complement_weights=(1.0,), target_delta_u=0.0,
-        )
-        optimize(net, u.conj().T, cfg)  # must not raise
 
     def test_trace_csv_round_trip(self, tmp_path):
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)

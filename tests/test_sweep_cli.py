@@ -254,6 +254,30 @@ class TestCli:
         cfg_path.write_text(json.dumps({"region": {}}))
         assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "optimizer",
+        [
+            {"complement_weights": []},
+            {"max_iters": 0},
+            {"complement_weights": [-0.1, 0.2]},
+            {"complement_weights": [0.0, 1.5]},
+        ],
+        ids=["empty-weights", "zero-iters", "negative-weight", "weight-above-one"],
+    )
+    def test_out_of_range_optimizer_is_config_error(self, tmp_path, optimizer):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+                    "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+                    "reduction": {"outputs": 3},
+                    "optimizer": optimizer,
+                }
+            )
+        )
+        assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         assert main(["covariance", "--out-dir", str(tmp_path)]) == 2
 
