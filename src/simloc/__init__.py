@@ -70,7 +70,9 @@ from .bounds import (
     effective_noise_from_estimation,
     fim_peb,
     mismatch_metrics,
+    mse_ratio_bound,
     mse_ratio_check,
+    noise_inflation,
 )
 from .localizer import LocalizerConfig, localize
 from .config import ScenarioConfig, load_config, load_preset

@@ -61,14 +61,41 @@ def mismatch_metrics(v: np.ndarray, u: np.ndarray) -> MismatchMetrics:
     e = delta_u_mat + delta_u_mat.conj().T + delta_u_mat.conj().T @ delta_u_mat
     e_norm = float(np.linalg.norm(e, 2))
     half = 2.0 * delta_u + delta_u**2
-    bound = 1.0 / (1.0 - half) if half < 1.0 else np.inf
     return MismatchMetrics(
         delta_rel=delta_rel,
         delta_u=delta_u,
         e_norm=e_norm,
         eig_box=(1.0 - half, 1.0 + half),
-        mse_ratio_bound=bound,
+        mse_ratio_bound=mse_ratio_bound(delta_u),
     )
+
+
+def mse_ratio_bound(delta_u: float) -> float:
+    """1 / (1 - 2 delta_U - delta_U^2), the least-squares MSE degradation
+    bound at subspace mismatch delta_U; infinite once the eigenvalue box
+    reaches zero."""
+    half = 2.0 * delta_u + delta_u**2
+    return 1.0 / (1.0 - half) if half < 1.0 else np.inf
+
+
+def noise_inflation(v: np.ndarray, u: np.ndarray) -> float:
+    """rho(V) = ||(V U)^{-1} V||_F^2 / L, the RS-LS noise inflation.
+
+    Least squares through the square reduced operator V U passes the
+    projected noise through (V U)^{-1} V, so ``rsls_post_sim``'s MSE is
+    sigma_z^2 * L * rho(V) against ``rsls_ideal``'s sigma_z^2 * L. A complex
+    gain on V and a unitary rotation of U cancel. For an energy-preserving V
+    (V V^H = I) rho is the ratio tr(G^{-1}) / L that :func:`mse_ratio_check`
+    bounds; otherwise the complement leakage of V enters too. Infinite when
+    V U is singular.
+    """
+    v = np.asarray(v, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    try:
+        x = np.linalg.solve(v @ u, v)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(np.linalg.norm(x, "fro") ** 2 / u.shape[1])
 
 
 def reduced_gram(v: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import matio
-from .bounds import fim_peb, mismatch_metrics, mse_ratio_check
+from .bounds import fim_peb, mismatch_metrics, mse_ratio_check, noise_inflation
 from .channel import estimate_covariance, reduce_subspace
 from .config import PRESETS, ScenarioConfig, load_config, load_preset
 from .errors import ConditioningError, ConfigurationError, EstimationError, OptimizationError
@@ -129,10 +129,12 @@ def cmd_optimize_sim(args) -> int:
     m = mismatch_metrics(v_s, u_rot)
     report = {
         "converged": trace.converged,
+        "stopped_on_target": trace.stopped_on_target,
         "iterations": trace.iterations,
         "delta_u": m.delta_u,
         "delta_rel": m.delta_rel,
         "row_orthonormality_gap": row_orthonormality_gap(v_s),
+        "noise_inflation": noise_inflation(v_s, u_rot),
         "target_delta_u": cfg.target_delta_u,
         "scale": [trace.scale.real, trace.scale.imag],
     }

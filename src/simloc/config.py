@@ -3,8 +3,8 @@
 Scenarios are JSON files with one object per block (geometry, region, gain,
 reduction, noise, covariance, impedance, optimizer, localizer, sweep). Keys
 starting with an underscore are ignored everywhere, so files can carry
-comments. Validation is strict: unknown keys and out-of-range values fail
-with the offending key named.
+comments. Validation is strict: unknown keys, mistyped values and
+out-of-range values fail with the offending key named.
 
 Two presets ship with the package: ``desk-scale`` (16x1 elements, 3 layers,
 4 outputs), small enough for per-cell surface optimization in tests, and
@@ -92,6 +92,8 @@ class ScenarioConfig:
 
 
 def _check_keys(block: dict, allowed: Sequence[str], where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be an object")
     for key in block:
         if key.startswith("_"):
             continue
@@ -107,6 +109,40 @@ def _get(block: dict, key: str, default=None, required=False, where=""):
     return default
 
 
+def _number(value, kind: type, where: str):
+    """``kind(value)``, kind int or float, for a JSON number. Anything else
+    (null, a boolean, a string, a list, or a fraction where an integer is
+    due) raises ConfigurationError naming the key."""
+    if kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    else:
+        ok = isinstance(value, (int, float))
+    if isinstance(value, bool) or not ok:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{where} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _read(block: dict, key: str, kind: type, where: str, default=None, required=False):
+    """``block[key]`` through :func:`_number`; an absent key gives ``default``."""
+    if key not in block:
+        if required:
+            raise ConfigurationError(f"missing required key {where}.{key}")
+        return default
+    return _number(block[key], kind, f"{where}.{key}")
+
+
+def _read_list(block: dict, key: str, kind: type, where: str, default) -> Optional[tuple]:
+    """``block[key]`` as a tuple of numbers; an absent or null key gives
+    ``default`` (None stays None)."""
+    raw = _get(block, key, default=default)
+    if raw is None:
+        return None
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigurationError(f"{where}.{key} must be a list of numbers, got {raw!r}")
+    return tuple(_number(x, kind, f"{where}.{key}[{i}]") for i, x in enumerate(raw))
+
+
 def _positive(value, where):
     if value is None:
         return None
@@ -116,10 +152,10 @@ def _positive(value, where):
 
 
 def _complex_field(raw, where) -> complex:
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return complex(raw)
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return complex(raw[0], raw[1])
+        return complex(_number(raw[0], float, where), _number(raw[1], float, where))
     raise ConfigurationError(f"{where} must be a number or [re, im] pair")
 
 
@@ -159,37 +195,39 @@ def parse_config(doc: dict) -> ScenarioConfig:
     )
     reduction = _get(doc, "reduction", default={}, where="config")
     _check_keys(reduction, ["outputs", "target_delta_u"], "reduction")
-    outputs = int(_get(reduction, "outputs", required=True, where="reduction"))
-    target_delta_u = float(_get(reduction, "target_delta_u", default=0.1, where="reduction"))
+    outputs = _read(reduction, "outputs", int, "reduction", required=True)
+    target_delta_u = _read(reduction, "target_delta_u", float, "reduction", default=0.1)
     if outputs < 1:
         raise ConfigurationError("reduction.outputs must be at least 1")
     if target_delta_u < 0:
         raise ConfigurationError("reduction.target_delta_u must be nonnegative")
 
+    def length(key):
+        return _positive(_read(geo, key, float, "geometry"), f"geometry.{key}")
+
     geometry = GeometryConfig(
-        k_y=int(_get(geo, "k_y", required=True, where="geometry")),
-        k_z=int(_get(geo, "k_z", required=True, where="geometry")),
-        layers=int(_get(geo, "layers", required=True, where="geometry")),
-        carrier_frequency_hz=float(
-            _positive(_get(geo, "carrier_frequency_hz", required=True, where="geometry"),
-                      "geometry.carrier_frequency_hz")
+        k_y=_read(geo, "k_y", int, "geometry", required=True),
+        k_z=_read(geo, "k_z", int, "geometry", required=True),
+        layers=_read(geo, "layers", int, "geometry", required=True),
+        carrier_frequency_hz=_positive(
+            _read(geo, "carrier_frequency_hz", float, "geometry", required=True),
+            "geometry.carrier_frequency_hz",
         ),
         receiver_elements=outputs,
-        element_spacing=_positive(_get(geo, "element_spacing_m"), "geometry.element_spacing_m"),
-        layer_spacing=_positive(_get(geo, "layer_spacing_m"), "geometry.layer_spacing_m"),
-        receiver_spacing=_positive(
-            _get(geo, "receiver_spacing_m"), "geometry.receiver_spacing_m"
-        ),
-        receiver_offset=_positive(_get(geo, "receiver_offset_m"), "geometry.receiver_offset_m"),
+        element_spacing=length("element_spacing_m"),
+        layer_spacing=length("layer_spacing_m"),
+        receiver_spacing=length("receiver_spacing_m"),
+        receiver_offset=length("receiver_offset_m"),
     )
 
     reg = _get(doc, "region", required=True, where="config")
     _check_keys(reg, ["distance_m", "bearing_rad", "diameter_m"], "region")
     region = RegionConfig(
-        distance_m=float(_positive(_get(reg, "distance_m", required=True, where="region"),
-                                   "region.distance_m")),
-        bearing_rad=float(_get(reg, "bearing_rad", default=0.0, where="region")),
-        diameter_m=float(_get(reg, "diameter_m", required=True, where="region")),
+        distance_m=_positive(
+            _read(reg, "distance_m", float, "region", required=True), "region.distance_m"
+        ),
+        bearing_rad=_read(reg, "bearing_rad", float, "region", default=0.0),
+        diameter_m=_read(reg, "diameter_m", float, "region", required=True),
     )
     if region.diameter_m < 0:
         raise ConfigurationError("region.diameter_m must be nonnegative")
@@ -197,22 +235,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
     gain_block = _get(doc, "gain", default={}, where="config")
     _check_keys(gain_block, ["shadowing_std_db", "mean_gain"], "gain")
     gain = GainModel(
-        shadowing_std_db=float(_get(gain_block, "shadowing_std_db", default=3.0)),
-        mean_gain=float(_get(gain_block, "mean_gain", default=1.0)),
+        shadowing_std_db=_read(gain_block, "shadowing_std_db", float, "gain", default=3.0),
+        mean_gain=_read(gain_block, "mean_gain", float, "gain", default=1.0),
     )
 
     noise = _get(doc, "noise", default={}, where="config")
     _check_keys(noise, ["snr_db"], "noise")
-    snr_db = tuple(float(s) for s in _get(noise, "snr_db", default=[0.0, 10.0]))
+    snr_db = _read_list(noise, "snr_db", float, "noise", default=[0.0, 10.0])
     if not snr_db:
         raise ConfigurationError("noise.snr_db must not be empty")
 
     cov_block = _get(doc, "covariance", default={}, where="config")
     _check_keys(cov_block, ["samples", "rank_threshold", "seed"], "covariance")
     covariance = CovarianceConfig(
-        samples=int(_get(cov_block, "samples", default=20000)),
-        rank_threshold=float(_get(cov_block, "rank_threshold", default=1e-6)),
-        seed=int(_get(cov_block, "seed", default=1234)),
+        samples=_read(cov_block, "samples", int, "covariance", default=20000),
+        rank_threshold=_read(cov_block, "rank_threshold", float, "covariance", default=1e-6),
+        seed=_read(cov_block, "seed", int, "covariance", default=1234),
     )
     if covariance.samples < 1:
         raise ConfigurationError("covariance.samples must be positive")
@@ -233,32 +271,34 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigurationError("impedance.file is only read by the 'file' provider")
     impedance = ImpedanceParams(
         z_self=_complex_field(_get(imp, "z_self", default=[73.0, 42.5]), "impedance.z_self"),
-        beta=float(_get(imp, "beta", default=60.0)),
+        beta=_read(imp, "beta", float, "impedance", default=60.0),
         gamma=_complex_field(_get(imp, "gamma", default=[20.0, 0.0]), "impedance.gamma"),
-        x0=float(_get(imp, "x0", default=50.0)),
-        port_offset_wavelengths=float(_get(imp, "port_offset_wavelengths", default=0.375)),
+        x0=_read(imp, "x0", float, "impedance", default=50.0),
+        port_offset_wavelengths=_read(
+            imp, "port_offset_wavelengths", float, "impedance", default=0.375
+        ),
     )
 
     opt = _get(doc, "optimizer", default={}, where="config")
     _check_keys(opt, ["max_iters", "complement_weights", "restarts", "seed"], "optimizer")
     optimizer = OptimizerConfig(
-        max_iters=int(_get(opt, "max_iters", default=4000)),
+        max_iters=_read(opt, "max_iters", int, "optimizer", default=4000),
         target_delta_u=target_delta_u,
-        rng_seed=int(_get(opt, "seed", default=0)),
-        complement_weights=tuple(
-            float(w) for w in _get(opt, "complement_weights", default=[0.0, 0.1, 0.2])
+        rng_seed=_read(opt, "seed", int, "optimizer", default=0),
+        complement_weights=_read_list(
+            opt, "complement_weights", float, "optimizer", default=[0.0, 0.1, 0.2]
         ),
     )
-    optimizer_restarts = int(_get(opt, "restarts", default=5))
+    optimizer_restarts = _read(opt, "restarts", int, "optimizer", default=5)
     if optimizer_restarts < 1:
         raise ConfigurationError("optimizer.restarts must be positive")
 
     loc = _get(doc, "localizer", default={}, where="config")
     _check_keys(loc, ["coarse_grid", "refine_iters", "refine_shrink"], "localizer")
     localizer = LocalizerConfig(
-        coarse_grid=int(_get(loc, "coarse_grid", default=64)),
-        refine_iters=int(_get(loc, "refine_iters", default=6)),
-        refine_shrink=float(_get(loc, "refine_shrink", default=0.5)),
+        coarse_grid=_read(loc, "coarse_grid", int, "localizer", default=64),
+        refine_iters=_read(loc, "refine_iters", int, "localizer", default=6),
+        refine_shrink=_read(loc, "refine_shrink", float, "localizer", default=0.5),
     )
 
     sweep_block = _get(doc, "sweep", default={}, where="config")
@@ -267,18 +307,17 @@ def parse_config(doc: dict) -> ScenarioConfig:
         ["distances_m", "bearings_rad", "snr_db", "trials", "seed", "workers", "sim"],
         "sweep",
     )
-    raw_snr = _get(sweep_block, "snr_db")
     sweep = SweepConfig(
-        distances_m=tuple(
-            float(d) for d in _get(sweep_block, "distances_m", default=[region.distance_m])
+        distances_m=_read_list(
+            sweep_block, "distances_m", float, "sweep", default=[region.distance_m]
         ),
-        bearings_rad=tuple(
-            float(b) for b in _get(sweep_block, "bearings_rad", default=list(_DEFAULT_BEARINGS))
+        bearings_rad=_read_list(
+            sweep_block, "bearings_rad", float, "sweep", default=list(_DEFAULT_BEARINGS)
         ),
-        snr_db=None if raw_snr is None else tuple(float(s) for s in raw_snr),
-        trials=int(_get(sweep_block, "trials", default=2000)),
-        seed=int(_get(sweep_block, "seed", default=7)),
-        workers=int(_get(sweep_block, "workers", default=1)),
+        snr_db=_read_list(sweep_block, "snr_db", float, "sweep", default=None),
+        trials=_read(sweep_block, "trials", int, "sweep", default=2000),
+        seed=_read(sweep_block, "seed", int, "sweep", default=7),
+        workers=_read(sweep_block, "workers", int, "sweep", default=1),
         sim=_get(sweep_block, "sim", default="optimize"),
     )
 

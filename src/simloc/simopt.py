@@ -6,9 +6,9 @@ concentrated out in closed form (downstream estimators are invariant to a
 global scale of the projection). :func:`objective` and :func:`gradient`
 expose exactly this quantity and its analytic derivative.
 
-:func:`optimize` solves the practical configuration problem with L-BFGS-B,
-one run per annealing stage, on the same analytic gradient. It differs from
-the bare objective in two documented ways:
+:func:`optimize` solves the practical configuration problem with L-BFGS-B
+over an annealing schedule of stages, on the same analytic gradient. It
+differs from the bare objective in two documented ways:
 
 * the match is weighted by the training ensemble. Input/target pairs
   (r, U^H r) with r drawn from the channel-plus-interference distribution
@@ -22,9 +22,22 @@ the bare objective in two documented ways:
   consumer, so mismatch is measured against the rotated basis U Q, which
   the trace reports.
 
+A restart stops as soon as the surface is good enough for estimation, at
+any objective evaluation of any stage (line-search points included). The
+stop rule asks for both
+  delta_U <= tau (``target_delta_u``), measured under the final-stage
+  weighting as :func:`optimize` reports it, and
+  rho(V) = ||(V U)^{-1} V||_F^2 / L <= 1 / (1 - 2 tau - tau^2),
+where rho is the RS-LS noise inflation (:func:`bounds.noise_inflation`).
+The bound on delta_U alone caps the MSE loss only for energy-preserving
+projections; the rho condition caps it for the physical one, whose
+complement leakage the later stages keep lowering. A restart that never
+meets the rule runs every stage until L-BFGS-B ends it (iteration cap or
+no further progress).
+
 The gradient is analytic throughout: with T = inv(Z_ss + Z_s(eta)),
 dT/deta_m = -T (dZ_s/deta_m) T, and dZ_s/deta_m touches only the two ports
-of cell m, so one evaluation costs a factorization plus K forward and M
+of cell m, so one evaluation costs a factorization plus M forward and M
 adjoint solves, never forming T.
 """
 
@@ -38,6 +51,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import matio
+from .bounds import mse_ratio_bound, noise_inflation
 from .errors import ConditioningError, ConfigurationError, OptimizationError
 from .multiport import (
     SimNetwork,
@@ -54,9 +68,9 @@ class OptimizerConfig:
     weight, each entry in [0, 1]; ``(1.0,)`` reproduces the plain unweighted
     Frobenius objective. ``max_iters`` caps the L-BFGS iterations of each
     stage, ``target_delta_u`` is the convergence threshold on the final
-    delta_U, ``rng_seed`` draws the starting phases and ``trace_every`` keeps
-    every n-th iterate in the trace (0 turns it off). Out-of-range values
-    raise :class:`ConfigurationError`.
+    delta_U and sets the stop rule, ``rng_seed`` draws the starting phases
+    and ``trace_every`` keeps every n-th iterate in the trace (0 turns it
+    off). Out-of-range values raise :class:`ConfigurationError`.
     """
 
     max_iters: int = 4000
@@ -85,6 +99,7 @@ class OptimizationTrace:
     the annealing schedule switches weights. ``rotation`` is the
     concentrated unitary Q; the delta metrics are measured against the
     rotated basis U Q, available through :meth:`rotated_basis`.
+    ``stopped_on_target`` is set when the stop rule ended the run.
     """
 
     objective: List[float] = field(default_factory=list)
@@ -96,6 +111,7 @@ class OptimizationTrace:
     scale: complex = 1.0 + 0.0j
     rotation: Optional[np.ndarray] = None
     stage_bounds: List[int] = field(default_factory=list)
+    stopped_on_target: bool = False
 
     @property
     def iterations(self) -> int:
@@ -153,40 +169,29 @@ def _concentrate(
     with_scale: bool,
     with_rotation: bool,
 ) -> Tuple[complex, np.ndarray]:
-    """Alternating closed-form minimization over the gain c and unitary Q^H."""
-    l = u.shape[1]
-    q_h = np.eye(l, dtype=complex)
-    c = 1.0 + 0.0j
-    u_h = u.conj().T
-    y = u_h
-    # loop invariants; `@` associates left, so w2_vh @ y is w2 @ v^H @ y
+    """Closed-form minimization over the unitary Q^H, then the gain c.
+
+    Q^H is the polar factor P of V U = P H. Because U^H W^2 = U^H, the gain
+    that follows is tr(H) / tr(W^2 V^H V), real and positive, so a further
+    rotation step would return the same P: one round of the gain/rotation
+    alternation is its fixed point.
+    """
+    q_h = np.eye(u.shape[1], dtype=complex)
+    y = u.conj().T
     if with_rotation:
-        vu = v @ u
-    if with_scale:
-        if w2 is None:
-            den = np.vdot(v, v).real
-        else:
-            w2_vh = w2 @ v.conj().T
-            den = np.real(np.trace(w2_vh @ v))
-    rounds = 8 if (with_scale and with_rotation) else 1
-    for _ in range(rounds):
-        if with_rotation:
-            a = c * vu
-            left, _, right = np.linalg.svd(a)
-            q_h = left @ right  # unitary closest to c*A
-            y = q_h @ u_h
-        if with_scale:
-            if w2 is None:
-                num = np.vdot(v, y)
-            else:
-                num = np.trace(w2_vh @ y)
-            if den == 0.0:
-                c = 1.0 + 0.0j
-                break
-            c = complex(num / den)
-        if not with_rotation:
-            break
-    return c, q_h
+        left, _, right = np.linalg.svd(v @ u)
+        q_h = left @ right  # unitary closest to V U
+        y = q_h @ y
+    if not with_scale:
+        return 1.0 + 0.0j, q_h
+    if w2 is None:
+        num, den = np.vdot(v, y), np.vdot(v, v).real
+    else:
+        w2_vh = w2 @ v.conj().T
+        num, den = np.trace(w2_vh @ y), np.real(np.trace(w2_vh @ v))
+    if den == 0.0:
+        return 1.0 + 0.0j, q_h
+    return complex(num / den), q_h
 
 
 def _mismatch(
@@ -233,8 +238,7 @@ def _gradient_from_state(
     residual = state.scale * state.v - state.target_eff
     if w2 is not None:
         residual = residual @ w2
-    f = net.solve(input_embedding(net))  # forward pass, K columns
-    p = f @ residual.conj().T  # (2QK, M)
+    p = net.solve(input_embedding(net) @ residual.conj().T)  # forward pass, M columns
     w = (p * state.b).sum(axis=1)  # diag of (T E_in) R^H (C_out T)
     w_cell = w[0::2] + w[1::2]
     slope = load_reactance_slope(net.eta, net.x0)
@@ -303,14 +307,45 @@ def _require_orthonormal_rows(target: np.ndarray) -> np.ndarray:
     return target.conj().T
 
 
+class _TargetMet(Exception):
+    """Raised out of the L-BFGS objective at a point that meets the target."""
+
+    def __init__(self, x: np.ndarray):
+        super().__init__()
+        self.x = x
+
+
+def _meets_target(
+    state: _EvalState,
+    u: np.ndarray,
+    w2: Optional[np.ndarray],
+    final_w2: Optional[np.ndarray],
+    target_delta_u: float,
+) -> bool:
+    """The stop rule: delta_U under the final-stage weighting within the
+    target, and the RS-LS noise inflation within the MSE ratio bound the
+    target implies."""
+    if w2 is final_w2:
+        delta_u = state.delta_u
+    else:
+        delta_u = _mismatch(state.v, u, final_w2, True, True)[4]
+    return (
+        delta_u <= target_delta_u
+        and noise_inflation(state.v, u) <= mse_ratio_bound(target_delta_u)
+    )
+
+
 def _lbfgs_stage(
     net: SimNetwork,
     u: np.ndarray,
     w2: Optional[np.ndarray],
+    final_w2: Optional[np.ndarray],
     cfg: OptimizerConfig,
     eta: np.ndarray,
     trace: OptimizationTrace,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, bool]:
+    """One L-BFGS-B run at weight W^2; returns its end point and whether it
+    stopped there because the stop rule fired."""
     last = {"eta": eta}
     # the point fun evaluated last and its state: the callback's iterate is
     # normally that point, so the trace reuses it instead of factorizing again
@@ -323,6 +358,8 @@ def _lbfgs_stage(
         except ConditioningError:
             memo["x"] = None
             return 1e9, np.zeros_like(x)
+        if _meets_target(state, u, w2, final_w2, cfg.target_delta_u):
+            raise _TargetMet(x.copy())
         memo["x"], memo["state"] = x.copy(), state
         return state.objective, _gradient_from_state(net, state, w2)
 
@@ -344,24 +381,30 @@ def _lbfgs_stage(
         last["eta"] = x.copy()
         trace.append(state.objective, state.delta_u, state.delta_rel, move)
 
-    res = minimize(
-        fun,
-        eta,
-        jac=True,
-        method="L-BFGS-B",
-        callback=record if cfg.trace_every > 0 else None,
-        options=dict(maxiter=cfg.max_iters, ftol=1e-16, gtol=1e-14),
-    )
-    return np.asarray(res.x)
+    try:
+        res = minimize(
+            fun,
+            eta,
+            jac=True,
+            method="L-BFGS-B",
+            callback=record if cfg.trace_every > 0 else None,
+            options=dict(maxiter=cfg.max_iters, ftol=1e-16, gtol=1e-14),
+        )
+    except _TargetMet as met:
+        return met.x, True
+    return np.asarray(res.x), False
 
 
 def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> OptimizationTrace:
     """Configure the surface against the target projection U^H.
 
     Phases start uniform in (-pi, pi] from ``cfg.rng_seed`` and descend the
-    ensemble-weighted mismatch through the annealing schedule; convergence
-    means the final effective subspace mismatch (measured on the scaled,
-    rotated match under the final stage weighting) is at or below
+    ensemble-weighted mismatch through the annealing schedule, one L-BFGS-B
+    run of up to ``cfg.max_iters`` iterations per stage. The first evaluated
+    point that meets the stop rule (module docstring) ends the restart there
+    and skips the remaining stages; ``stopped_on_target`` records it.
+    Convergence means the final effective subspace mismatch (measured on the
+    scaled, rotated match under the final stage weighting) is at or below
     ``cfg.target_delta_u``. The final eta is left installed in the network.
     Non-convergence is reported through the flag, not an exception.
     """
@@ -372,14 +415,18 @@ def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> Optim
     eta = net.eta
 
     trace = OptimizationTrace()
-    final_w2 = _weight_matrix(u, cfg.complement_weights[-1])
+    stage_w2 = [_weight_matrix(u, w_perp) for w_perp in cfg.complement_weights]
+    final_w2 = stage_w2[-1]
     state = _evaluate(net, u, final_w2, True, True)
     trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
 
     if state.delta_u > cfg.target_delta_u:
-        for w_perp in cfg.complement_weights:
+        for w2 in stage_w2:
             trace.stage_bounds.append(len(trace.objective))
-            eta = _lbfgs_stage(net, u, _weight_matrix(u, w_perp), cfg, eta, trace)
+            eta, stopped = _lbfgs_stage(net, u, w2, final_w2, cfg, eta, trace)
+            if stopped:
+                trace.stopped_on_target = True
+                break
         net.set_eta(eta)
         state = _evaluate(net, u, final_w2, True, True)
         trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)

@@ -47,6 +47,29 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="region.distance_m"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("covariance", "samples", 1.5),
+            ("geometry", "k_y", True),
+            ("impedance", "x0", "50"),
+            ("impedance", "z_self", ["73", 42.5]),
+            ("noise", "snr_db", 5.0),
+            ("sweep", "distances_m", [0.5, None]),
+            ("optimizer", "complement_weights", [0.0, "0.2"]),
+        ],
+    )
+    def test_mistyped_value_named_in_error(self, block, key, value):
+        doc = minimal_doc()
+        doc.setdefault(block, {})[key] = value
+        with pytest.raises(ConfigurationError, match=f"{block}.{key}"):
+            parse_config(doc)
+
+    def test_integral_float_accepted_for_integer_key(self):
+        doc = minimal_doc()
+        doc["covariance"] = {"samples": 1500.0}
+        assert parse_config(doc).covariance.samples == 1500
+
     def test_rejects_bad_sweep_mode(self):
         doc = minimal_doc()
         doc["sweep"] = {"distances_m": [0.5], "sim": "maybe"}

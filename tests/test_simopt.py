@@ -1,17 +1,28 @@
+from functools import lru_cache
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simloc import multiport
+from simloc.bounds import mse_ratio_bound, noise_inflation
 from simloc.channel import estimate_covariance, reduce_subspace
+from simloc.estimation import rsls_post_sim
 from simloc.geometry import GainModel, GeometryConfig, build_sim_geometry, region_at
-from simloc.multiport import build_sim_network, effective_projection_matrix
+from simloc.multiport import (
+    build_sim_network,
+    effective_projection_matrix,
+    input_embedding,
+    load_reactance_slope,
+)
 from simloc.simopt import (
     OptimizerConfig,
     _concentrate,
     _evaluate,
     _gradient_from_state,
+    _meets_target,
     _weight_matrix,
     calibrate_projection,
     finite_difference_gradient,
@@ -32,6 +43,11 @@ def desk_setup(k_y=16, layers=3, m=4, l_fixed=4, distance=0.4, diameter=0.2):
     u, d = reduce_subspace(cov, l_fixed=l_fixed)
     net = build_sim_network(sim, rx)
     return net, u
+
+
+@lru_cache(maxsize=1)
+def _cached_desk_setup():
+    return desk_setup()
 
 
 class TestObjective:
@@ -116,6 +132,28 @@ class TestGradient:
             ref = np.maximum(np.abs(fd), 1e-4 * np.abs(g).max())
             assert (np.abs(g - fd) / ref).max() <= 1e-5
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        w_perp=st.sampled_from([None, 0.0, 0.1, 0.2]),
+    )
+    def test_m_column_forward_pass_equals_k_column_formula(self, seed, w_perp):
+        # the forward pass solves for E_in R^H (M columns); the reference
+        # solves for E_in (K columns) and applies R^H afterwards
+        net, u = _cached_desk_setup()
+        net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
+        w2 = None if w_perp is None else _weight_matrix(u, w_perp)
+        state = _evaluate(net, u, w2, True, True)
+        residual = state.scale * state.v - state.target_eff
+        if w2 is not None:
+            residual = residual @ w2
+        p = net.solve(input_embedding(net)) @ residual.conj().T
+        w = (p * state.b).sum(axis=1)
+        slope = load_reactance_slope(net.eta, net.x0)
+        ref = -2.0 * slope * np.real(1j * state.scale * (w[0::2] + w[1::2]))
+        g = _gradient_from_state(net, state, w2)
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestOptimize:
     def test_desk_scale_reaches_target(self):
@@ -123,6 +161,9 @@ class TestOptimize:
         trace = optimize(net, u.conj().T, OptimizerConfig(rng_seed=0))
         assert trace.converged
         assert trace.delta_u[-1] <= 0.1
+        # the restart ended on the stop rule, so both of its bounds hold
+        assert trace.stopped_on_target
+        assert noise_inflation(effective_projection_matrix(net), u) <= mse_ratio_bound(0.1)
 
     def test_immediate_return_when_already_converged(self):
         net, u = desk_setup(k_y=4, layers=2, m=2, l_fixed=2)
@@ -205,6 +246,8 @@ class TestTraceInvariants:
         cfg = OptimizerConfig(rng_seed=2, max_iters=300, target_delta_u=0.0)
         trace = optimize(net, u.conj().T, cfg)
         bounds = trace.stage_bounds + [len(trace.objective) - 1]
+        # a zero target never fires the stop rule, so every stage runs
+        assert not trace.stopped_on_target
         assert len(trace.stage_bounds) == len(cfg.complement_weights)
         for start, end in zip(bounds, bounds[1:]):
             obj = np.array(trace.objective[start:end])
@@ -225,8 +268,8 @@ class TestTraceInvariants:
 
 
 def _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation):
-    """The gain/rotation alternation as written before its loop invariants
-    were hoisted; the reference for bit-identity."""
+    """The gain/rotation alternation run for eight rounds; its later rounds
+    are fixed-point steps, so the single round equals it up to rounding."""
     l = u.shape[1]
     q_h = np.eye(l, dtype=complex)
     c = 1.0 + 0.0j
@@ -279,5 +322,47 @@ class TestConcentrate:
         w2 = None if w_perp is None else _weight_matrix(u, w_perp)
         c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
         c_ref, q_h_ref = _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation)
-        assert c == c_ref
-        np.testing.assert_array_equal(q_h, q_h_ref)
+        assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
+        assert np.linalg.norm(q_h - q_h_ref) <= 1e-12 * np.linalg.norm(q_h_ref)
+
+
+class TestNoiseInflation:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 24),
+        l=st.integers(1, 6),
+        sigma_z2=st.floats(0.01, 10.0),
+    )
+    def test_equals_rsls_post_sim_ratio(self, seed, k, l, sigma_z2):
+        # rho(V) is rsls-sim's MSE over rsls-ideal's sigma^2 L, whatever the
+        # gain c and output rotation Q the calibration attaches
+        l = min(l, k)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
+        q, _ = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
+        v = rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
+        c = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        rep = rsls_post_sim(np.eye(l), c * v, u @ q, sigma_z2)
+        expected = rep.scalar_mse / (sigma_z2 * l)
+        assert noise_inflation(v, u) == pytest.approx(expected, rel=1e-9)
+
+
+class TestStopRule:
+    def test_complement_leakage_blocks_the_stop(self):
+        # V = U^H plus rows in the complement of U: V U = I, so under the
+        # final weighting (w_perp = 0.2) delta_U = 1 - 1/1.1 meets the
+        # target, yet the leakage inflates the RS-LS noise by 1.5
+        rng = np.random.default_rng(0)
+        k, l, tau = 16, 4, 0.1
+        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
+        comp = (np.eye(k) - u @ u.conj().T) @ (
+            rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l))
+        )
+        leak = comp.conj().T * (np.sqrt(0.5 * l) / np.linalg.norm(comp))
+        v = u.conj().T + leak
+        final_w2 = _weight_matrix(u, 0.2)
+        assert calibrate_projection(v, u, w_perp=0.2).delta_u <= tau
+        assert noise_inflation(v, u) == pytest.approx(1.5, rel=1e-12)
+        assert not _meets_target(SimpleNamespace(v=v), u, None, final_w2, tau)
+        assert _meets_target(SimpleNamespace(v=u.conj().T), u, None, final_w2, tau)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simloc.bounds import mse_ratio_bound, noise_inflation
 from simloc.channel import estimate_covariance, reduce_subspace, steering_vector
 from simloc.cli import EXIT_NUMERICAL, main
 from simloc.config import load_config, parse_config
@@ -278,6 +279,25 @@ class TestCli:
         )
         assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("optimizer", "max_iters", "many"), ("sweep", "trials", [1]), ("impedance", "beta", None)],
+        ids=["string-iters", "list-trials", "null-beta"],
+    )
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, block, key, value):
+        doc = {
+            "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+            "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+            "reduction": {"outputs": 3},
+            block: {key: value},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{block}.{key}" in err
+        assert "Traceback" not in err
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         assert main(["covariance", "--out-dir", str(tmp_path)]) == 2
 
@@ -300,6 +320,32 @@ class TestCli:
         assert code == 4
         assert (out / "trace.csv").exists()
         assert (out / "eta.rvec").exists()
+        assert json.loads((out / "optimize_report.json").read_text())["stopped_on_target"] is False
+
+    def test_optimize_sim_reports_stop_rule(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+                    "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+                    "reduction": {"outputs": 3, "target_delta_u": 0.1},
+                    "covariance": {"samples": 500, "seed": 5},
+                    "optimizer": {"max_iters": 1000, "restarts": 2, "seed": 0},
+                }
+            )
+        )
+        out = tmp_path / "opt"
+        assert main(["optimize-sim", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "optimize_report.json").read_text())
+        assert report["stopped_on_target"] is True
+        assert report["delta_u"] <= 0.1
+        assert report["noise_inflation"] <= mse_ratio_bound(0.1)
+        rho = noise_inflation(
+            load_complex_matrix(out / "projection.cmat"),
+            load_complex_matrix(out / "subspace_matched.cmat"),
+        )
+        assert report["noise_inflation"] == pytest.approx(rho, rel=1e-12)
 
     def test_optimizer_and_estimator_failures_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
