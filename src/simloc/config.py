@@ -294,11 +294,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigurationError("optimizer.restarts must be positive")
 
     loc = _get(doc, "localizer", default={}, where="config")
-    _check_keys(loc, ["coarse_grid", "refine_iters", "refine_shrink"], "localizer")
+    _check_keys(loc, ["coarse_grid"], "localizer")
     localizer = LocalizerConfig(
-        coarse_grid=_read(loc, "coarse_grid", int, "localizer", default=64),
-        refine_iters=_read(loc, "refine_iters", int, "localizer", default=6),
-        refine_shrink=_read(loc, "refine_shrink", float, "localizer", default=0.5),
+        coarse_grid=_read(loc, "coarse_grid", int, "localizer", default=64)
     )
 
     sweep_block = _get(doc, "sweep", default={}, where="config")

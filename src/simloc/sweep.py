@@ -16,8 +16,10 @@ Metrics per estimator tag:
 * ``mse_empirical``: Monte Carlo over fresh channel and interference draws
   (matches ``mse_exact`` within sampling error).
 * ``peb_m`` / ``rmse_m``: position error bound at the estimator's
-  white-equivalent residual noise, and the grid localizer's RMSE under the
-  same matched-noise observation model.
+  white-equivalent residual noise, and the localizer's RMSE under the
+  same matched-noise observation model. The localizer's estimate may leave
+  the prior box (up to twice its half-widths from the centre, see
+  ``localizer``), so ``rmse_m`` is not capped by the region size.
 
 Mismatch diagnostics (``delta_u``, ``delta_rel``, ``row_gap``) are emitted
 once per cell for the surface projection.
@@ -119,7 +121,7 @@ def _localizer_rmse(
     trials: int,
     seed: int,
 ) -> Tuple[float, float]:
-    """RMSE of the grid localizer under the matched-noise observation model
+    """RMSE of the localizer under the matched-noise observation model
     h_hat = h(center) + n with per-real-component noise variance sigma_n2
     (the convention of the position-stage information matrix); returns
     (rmse, stderr_of_mse)."""

@@ -312,7 +312,7 @@ class TestCriterion10Localizer:
         region = desk_cfg.region.build()
 
         # noiseless on-grid recovery
-        loc_cfg = LocalizerConfig(coarse_grid=33, refine_iters=0)
+        loc_cfg = LocalizerConfig(coarse_grid=33)
         xs = np.linspace(region.center[0] - region.radius, region.center[0] + region.radius, 33)
         ys = np.linspace(region.center[1] - region.radius, region.center[1] + region.radius, 33)
         p_true = np.array([xs[21], ys[9]])

@@ -29,7 +29,11 @@ class TestParseConfig:
         assert cfg.geometry.receiver_elements == 3
 
     def test_unknown_key_named_in_error(self):
-        for block, key in (("geometry", "k_w"), ("optimizer", "method")):
+        for block, key in (
+            ("geometry", "k_w"),
+            ("optimizer", "method"),
+            ("localizer", "refine_iters"),
+        ):
             doc = minimal_doc()
             doc.setdefault(block, {})[key] = 4
             with pytest.raises(ConfigurationError, match=f"{block}.{key}"):

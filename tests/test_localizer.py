@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simloc.channel import steering_vector
+import simloc.localizer
+from simloc.channel import steering_matrix, steering_vector
+from simloc.config import load_preset
 from simloc.errors import ConfigurationError, EstimationError
-from simloc.geometry import ArrayGeometry, GeometryConfig, UncertaintyRegion, build_sim_geometry
+from simloc.geometry import (
+    ArrayGeometry,
+    GeometryConfig,
+    UncertaintyRegion,
+    build_sim_geometry,
+    region_at,
+)
 from simloc.localizer import LocalizerConfig, correlation_scores, localize
 
 
@@ -19,7 +27,7 @@ class TestLocalize:
     def test_noiseless_on_grid_recovery(self):
         geom = desk_geometry()
         region = UncertaintyRegion(center=(0.4, 0.0), diameter=0.2)
-        cfg = LocalizerConfig(coarse_grid=33, refine_iters=0)
+        cfg = LocalizerConfig(coarse_grid=33)
         xs = np.linspace(0.3, 0.5, 33)
         ys = np.linspace(-0.1, 0.1, 33)
         p_true = np.array([xs[20], ys[7]])  # exactly on the coarse grid
@@ -36,7 +44,7 @@ class TestLocalize:
         # surface carries near-tied range ridges.
         geom = desk_geometry(k=16)
         region = UncertaintyRegion(center=(0.35, 0.0), diameter=0.12)
-        cfg = LocalizerConfig(coarse_grid=24, refine_iters=6, refine_shrink=0.5)
+        cfg = LocalizerConfig(coarse_grid=24)
         rng = np.random.default_rng(0)
         n_fine = 192
         xs = np.linspace(0.29, 0.41, n_fine)
@@ -90,7 +98,7 @@ class TestLocalize:
         center = np.array([0.3, 0.0])
         region = UncertaintyRegion(center=tuple(center), diameter=0.15)
         region_rot = UncertaintyRegion(center=tuple(rot2 @ center), diameter=0.15)
-        cfg = LocalizerConfig(coarse_grid=64, refine_iters=6)
+        cfg = LocalizerConfig(coarse_grid=64)
         rng = np.random.default_rng(2)
         errs, errs_rot = [], []
         for _ in range(30):
@@ -139,7 +147,7 @@ class TestLocalize:
     def test_batch_rows_equal_single_estimates(self, seed, n, noise):
         geom = desk_geometry()
         region = UncertaintyRegion(center=(0.35, 0.05), diameter=0.15)
-        cfg = LocalizerConfig(coarse_grid=12, refine_iters=3, refine_shrink=0.4)
+        cfg = LocalizerConfig(coarse_grid=12)
         rng = np.random.default_rng(seed)
         batch = np.stack(
             [
@@ -167,8 +175,6 @@ class TestLocalize:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             LocalizerConfig(coarse_grid=1)
-        with pytest.raises(ConfigurationError):
-            LocalizerConfig(refine_shrink=1.5)
 
     def test_scores_bounded_by_cauchy_schwarz(self):
         geom = desk_geometry()
@@ -177,3 +183,137 @@ class TestLocalize:
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         s = correlation_scores(geom, pts, h)
         assert np.all(s >= 0.0) and np.all(s <= 1.0 + 1e-12)
+
+
+def grid_refinement(h, geometry, region, coarse_grid=64, iters=6, shrink=0.5):
+    """The six-stage halving grid search the Newton polish replaced: a
+    coarse grid over the prior box, then grids of the same size around the
+    running best point, each half as wide as the last."""
+    x_lo, x_hi, y_lo, y_hi = region.bounding_box()
+    center = ((x_lo + x_hi) / 2.0, (y_lo + y_hi) / 2.0)
+    half = ((x_hi - x_lo) / 2.0, (y_hi - y_lo) / 2.0)
+    best_p, best_score = np.array(center), -1.0
+    for stage in range(iters + 1):
+        if stage:
+            center = (float(best_p[0]), float(best_p[1]))
+            half = (half[0] * shrink, half[1] * shrink)
+        xs = np.linspace(center[0] - half[0], center[0] + half[0], coarse_grid)
+        ys = np.linspace(center[1] - half[1], center[1] + half[1], coarse_grid)
+        xx, yy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        scores = correlation_scores(geometry, pts, h)
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best_p, best_score = pts[i], float(scores[i])
+    return best_p, best_score
+
+
+def desk_preset_geometry():
+    sim, _ = build_sim_geometry(load_preset("desk-scale").geometry)
+    return sim
+
+
+class TestNewtonPolish:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        x=st.floats(0.05, 0.7),
+        y=st.floats(-0.5, 0.5),
+        noise=st.floats(0.0, 2.0),
+    )
+    def test_derivatives_match_central_differences(self, seed, x, y, noise):
+        # central differences with step 1e-6 m err by about (kappa step)^2
+        # ~ 3e-7 relative; the bound is 1e-5 of the natural scales kappa
+        # (gradient) and kappa^2 (Hessian), since f lies in [0, 1]
+        geom = desk_preset_geometry()
+        kappa = 2.0 * np.pi / geom.wavelength
+        rng = np.random.default_rng(seed)
+        k = geom.elements_per_layer
+        source = rng.uniform([0.1, -0.3], [0.6, 0.3])
+        h = steering_vector(geom, source).entries + noise * (
+            rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        )
+        rows, power = h[None], np.array([np.vdot(h, h).real])
+        p = np.array([[x, y]])
+        f, grad, hess = simloc.localizer._score_derivatives(geom, rows, power, p)
+        assert f[0] == pytest.approx(correlation_scores(geom, p, h)[0], abs=1e-12)
+        step = 1e-6
+        grad_fd, hess_fd = np.empty(2), np.empty((2, 2))
+        for j in range(2):
+            e = np.zeros((1, 2))
+            e[0, j] = step
+            f_hi, g_hi, _ = simloc.localizer._score_derivatives(geom, rows, power, p + e)
+            f_lo, g_lo, _ = simloc.localizer._score_derivatives(geom, rows, power, p - e)
+            grad_fd[j] = (f_hi[0] - f_lo[0]) / (2 * step)
+            hess_fd[:, j] = (g_hi[0] - g_lo[0]) / (2 * step)
+        assert np.linalg.norm(grad[0] - grad_fd) <= 1e-5 * kappa
+        assert np.linalg.norm(hess[0] - hess_fd) <= 1e-5 * kappa**2
+        np.testing.assert_array_equal(hess[0], hess[0].T)
+
+    def test_scores_at_least_grid_refinement_on_desk_sweep_cell(self, monkeypatch):
+        # the desk-sweep cell (d = 0.3 m, b = pi/6) at its own mse_exact / K
+        # noise levels, 100 draws each: the polish must reach at least the
+        # score of the search it replaced, and no row may stop on the cap
+        iterations = []
+        polish = simloc.localizer._polish
+
+        def recording(*args):
+            out = polish(*args)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr(simloc.localizer, "_polish", recording)
+        geom = desk_preset_geometry()
+        region = region_at(0.3, np.pi / 6, 0.2)
+        a = steering_vector(geom, np.array(region.center)).entries
+        k = geom.elements_per_layer
+        rng = np.random.default_rng(11)
+        for sigma_n2 in (0.046, 0.17, 0.31, 0.41):
+            batch = np.stack(
+                [
+                    np.exp(2j * np.pi * rng.random()) * a
+                    + np.sqrt(sigma_n2) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                    for _ in range(100)
+                ]
+            )
+            _, scores = localize(batch, geom, region)
+            reference = np.array([grid_refinement(h, geom, region)[1] for h in batch])
+            assert np.all(scores >= reference - 1e-12)
+        assert max(int(it.max()) for it in iterations) < simloc.localizer._MAX_NEWTON_ITERS
+
+    def test_estimate_steered_at_an_element_is_finite(self):
+        # at the desk 0.2 m, bearing-0 cell the search square reaches the
+        # array plane x = 0, where d_k = 0 makes g_k = 0 / 0
+        geom = desk_preset_geometry()
+        region = region_at(0.2, 0.0, 0.2)
+        x_lo = region.bounding_box()[0]
+        assert region.center[0] - 2.0 * (region.center[0] - x_lo) <= 0.0
+        elements = geom.first_layer_positions[:, :2]
+        batch = steering_matrix(geom, elements).T
+        p_hats, scores = localize(batch, geom, region)
+        assert np.all(np.isfinite(p_hats)) and np.all(np.isfinite(scores))
+
+        polish = simloc.localizer._polish
+        power = np.full(len(batch), float(geom.elements_per_layer))
+        # a start on an element has no finite derivatives: it stays put
+        p, f, iterations = polish(geom, batch, power, elements, -0.2, 0.2, 3e-3)
+        np.testing.assert_array_equal(p, elements)
+        assert np.all(np.isfinite(f)) and np.all(iterations == 0)
+        # each ascent climbs toward its element, which sits on the corner of
+        # its search box, so overshooting steps are clipped onto it; such a
+        # trial has non-finite derivatives and must be rejected. From 3 cm
+        # some rows reach the array line beyond the last element, where
+        # half-wavelength spacing makes the score exactly flat: a step that
+        # does not raise it is rejected, so the row stops before the cap.
+        for k, element in enumerate(elements):
+            rows = batch[k : k + 1]
+            for offset in (0.002, 0.03):
+                start = element[None] + offset
+                f0 = simloc.localizer._score_derivatives(geom, rows, power[:1], start)[0]
+                p, f, iterations = polish(
+                    geom, rows, power[:1], start, element, element + 0.2, 3e-3
+                )
+                _, grad, hess = simloc.localizer._score_derivatives(geom, rows, power[:1], p)
+                assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+                assert f[0] >= f0[0]
+                assert iterations[0] < simloc.localizer._MAX_NEWTON_ITERS

@@ -40,13 +40,14 @@ def test_traced_names_exist_and_install_round_trips():
 
 def test_batched_localize_counts_one_coarse_grid():
     # the benchmark's localizer counters: one span per localize call and one
-    # coarse grid per call, whatever the batch size
+    # coarse grid per call, whatever the batch size; the Newton polish builds
+    # no steering matrix
     tracing = load_tracing()
     sim, _ = build_sim_geometry(
         GeometryConfig(k_y=8, k_z=1, layers=1, carrier_frequency_hz=28e9)
     )
     region = UncertaintyRegion(center=(0.3, 0.0), diameter=0.1)
-    cfg = simloc.localizer.LocalizerConfig(coarse_grid=8, refine_iters=3)
+    cfg = simloc.localizer.LocalizerConfig(coarse_grid=8)
     n = 4
     rng = np.random.default_rng(0)
     batch = np.stack([steering_vector(sim, p).entries for p in region.sample(n, rng)])
@@ -58,7 +59,5 @@ def test_batched_localize_counts_one_coarse_grid():
         tracer.stop()
     finally:
         tracer.uninstall()
-    assert tracer.counts["localizer.steering_cols"] == cfg.coarse_grid**2 * (
-        1 + cfg.refine_iters * n
-    )
+    assert tracer.counts["localizer.steering_cols"] == cfg.coarse_grid**2
     assert [span[0] for span in tracer.spans] == ["localizer.localize"]

@@ -174,9 +174,7 @@ class TestLocalizerRmse:
         log_sigma=st.floats(-5.0, -1.0),
     )
     def test_equals_per_trial_loop(self, seed, trials, log_sigma):
-        cfg = replace(
-            tiny_scenario(), localizer=LocalizerConfig(coarse_grid=10, refine_iters=2)
-        )
+        cfg = replace(tiny_scenario(), localizer=LocalizerConfig(coarse_grid=10))
         geom, _ = build_sim_geometry(cfg.geometry)
         region = region_at(0.25, 0.3, 0.15)
         sigma_n2 = 10.0**log_sigma
