@@ -2,11 +2,8 @@
 multiport stacked-metasurface front end."""
 
 from .channel import (
-    ChannelRealization,
     CovarianceModel,
-    SteeringVector,
     covariance_from_matrix,
-    draw_channel,
     estimate_covariance,
     reduce_subspace,
     steering_matrix,
@@ -26,9 +23,7 @@ from .geometry import (
     UncertaintyRegion,
     build_sim_geometry,
     fraunhofer_distance,
-    is_near_field,
     region_at,
-    sample_region,
 )
 from .multiport import (
     ImpedanceParams,
@@ -50,9 +45,7 @@ from .simopt import (
     optimize_multistart,
 )
 from .estimation import (
-    EstimationReport,
     LinearEstimator,
-    ObservationModel,
     digital_baseline,
     estimator_suite,
     mmse_full,
@@ -67,7 +60,6 @@ from .bounds import (
     MismatchMetrics,
     PebReport,
     channel_jacobian,
-    effective_noise_from_estimation,
     fim_peb,
     mismatch_metrics,
     mse_ratio_bound,

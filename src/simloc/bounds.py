@@ -20,12 +20,11 @@ information matrix, and the theta-theta entry equals K G^2 / sigma_n^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimation import EstimationReport
 from .geometry import ArrayGeometry
 
 _ROW_ORTHO_TOL = 1e-6
@@ -82,12 +81,12 @@ def noise_inflation(v: np.ndarray, u: np.ndarray) -> float:
     """rho(V) = ||(V U)^{-1} V||_F^2 / L, the RS-LS noise inflation.
 
     Least squares through the square reduced operator V U passes the
-    projected noise through (V U)^{-1} V, so ``rsls_post_sim``'s MSE is
-    sigma_z^2 * L * rho(V) against ``rsls_ideal``'s sigma_z^2 * L. A complex
-    gain on V and a unitary rotation of U cancel. For an energy-preserving V
-    (V V^H = I) rho is the ratio tr(G^{-1}) / L that :func:`mse_ratio_check`
-    bounds; otherwise the complement leakage of V enters too. Infinite when
-    V U is singular.
+    projected noise through (V U)^{-1} V, so the analytic MSE that
+    ``rsls_post_sim`` returns with its W is sigma_z^2 * L * rho(V), against
+    ``rsls_ideal``'s sigma_z^2 * L. A complex gain on V and a unitary
+    rotation of U cancel. For an energy-preserving V (V V^H = I) rho is the
+    ratio tr(G^{-1}) / L that :func:`mse_ratio_check` bounds; otherwise the
+    complement leakage of V enters too. Infinite when V U is singular.
     """
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
@@ -112,30 +111,24 @@ class MseRatioCheck:
     applicable: bool
 
 
-def mse_ratio_check(
-    v: np.ndarray,
-    u: np.ndarray,
-    sigma_z2: float = 1.0,
-    row_ortho_tol: float = _ROW_ORTHO_TOL,
-) -> MseRatioCheck:
+def mse_ratio_check(v: np.ndarray, u: np.ndarray) -> MseRatioCheck:
     """Compare the actual least-squares MSE inflation against its bound.
 
     The bound assumes the projection preserves energy (V V^H = I), so when
-    the row-orthonormality gap exceeds ``row_ortho_tol`` the check is
-    reported as inapplicable rather than falsified. The ratio
-    tr(G^{-1}) / L is independent of the noise level.
+    the row-orthonormality gap exceeds 1e-6 the check is reported as
+    inapplicable rather than falsified. The ratio tr(G^{-1}) / L does not
+    depend on the noise level.
     """
     v = np.asarray(v, dtype=complex)
     l = v.shape[0]
     gap = float(np.linalg.norm(v @ v.conj().T - np.eye(l), 2))
     metrics = mismatch_metrics(v, u)
-    if gap > row_ortho_tol:
+    if gap > _ROW_ORTHO_TOL:
         return MseRatioCheck(
             actual_ratio=np.nan, bound=metrics.mse_ratio_bound, holds=True, applicable=False
         )
     g = reduced_gram(v, u)
-    actual_mse = sigma_z2 * float(np.real(np.trace(np.linalg.inv(g))))
-    ratio = actual_mse / (sigma_z2 * l)
+    ratio = float(np.real(np.trace(np.linalg.inv(g)))) / l
     holds = ratio <= metrics.mse_ratio_bound + 1e-9
     return MseRatioCheck(
         actual_ratio=ratio, bound=metrics.mse_ratio_bound, holds=holds, applicable=True
@@ -179,18 +172,12 @@ class PebReport:
     eps: np.ndarray
 
 
-def fim_peb(
-    geometry: ArrayGeometry,
-    eps: np.ndarray,
-    sigma_n2: float,
-    error_covariance: Optional[np.ndarray] = None,
-) -> PebReport:
+def fim_peb(geometry: ArrayGeometry, eps: np.ndarray, sigma_n2: float) -> PebReport:
     """Fisher information over [x, y, G, theta] and the position error bound.
 
-    White residual noise gives I = Re{J^H J} / sigma_n^2; passing an error
-    covariance instead whitens the Jacobian against it (pseudo-inverse on
-    its significant eigenspace). The inverse is evaluated through an SVD of
-    the real-stacked Jacobian, whose condition number is the square root of
+    The residual noise is white, so I = Re{J^H J} / sigma_n^2; callers pass
+    an estimator's white-equivalent residual, its MSE / K. The inverse is
+    evaluated through an SVD of the real-stacked Jacobian, whose condition number is the square root of
     the information matrix's, so geometries near the observability limit
     stay accurate; ``condition_flag`` marks information matrices with
     condition beyond 1e12, where truly vanishing directions are truncated
@@ -202,14 +189,7 @@ def fim_peb(
     # every Jacobian column carries the factor e^{j theta}, which cancels in
     # J^H J; evaluating at theta = 0 makes the invariance exact in floats
     jac = channel_jacobian(geometry, np.array([x, y, g, 0.0]))
-    if error_covariance is None:
-        jw = jac / np.sqrt(sigma_n2)
-    else:
-        c = np.asarray(error_covariance, dtype=complex)
-        vals, vecs = np.linalg.eigh(0.5 * (c + c.conj().T))
-        floor = max(float(vals.max()), 0.0) * 1e-12
-        inv_sqrt = np.where(vals > floor, 1.0 / np.sqrt(np.clip(vals, floor, None)), 0.0)
-        jw = (inv_sqrt[:, None] * vecs.conj().T) @ jac
+    jw = jac / np.sqrt(sigma_n2)
     jr = np.vstack([jw.real, jw.imag])
     fim = jr.T @ jr
     fim = 0.5 * (fim + fim.T)
@@ -230,10 +210,3 @@ def fim_peb(
         fim=fim, crlb=crlb, peb=peb, condition_flag=flag, eps=np.asarray(eps, dtype=float)
     )
 
-
-def effective_noise_from_estimation(report: EstimationReport) -> float:
-    """White-equivalent per-element residual variance of a channel estimate."""
-    if report.scalar_mse is None or report.scalar_mse < 0:
-        raise ConfigurationError("estimation report carries no usable scalar MSE")
-    k = report.h_hat.shape[0] if report.h_hat is not None else report.error_covariance.shape[0]
-    return float(report.scalar_mse) / k

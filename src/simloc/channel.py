@@ -1,5 +1,5 @@
-"""Near-field channel model: steering vectors, random realizations, and the
-second-order statistics that drive dimensionality reduction.
+"""Near-field channel model: steering vectors and the second-order
+statistics that drive dimensionality reduction.
 
 The channel seen at the input layer is h = G * exp(j*theta) * a(p), with
 a_k(p) = exp(-j * 2*pi * ||p - p_k|| / lambda). Its covariance over the prior
@@ -56,45 +56,12 @@ def steering_matrix(geometry: ArrayGeometry, points: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Unit-modulus response of the input layer to a point source at ``position``."""
-
-    entries: np.ndarray
-    position: np.ndarray
-
-
-def steering_vector(geometry: ArrayGeometry, p: np.ndarray) -> SteeringVector:
-    """Near-field steering vector a(p) over the input layer."""
+def steering_vector(geometry: ArrayGeometry, p: np.ndarray) -> np.ndarray:
+    """Near-field steering vector a(p), shape (K,), over the input layer."""
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ConfigurationError("steering point must be finite")
-    entries = steering_matrix(geometry, p[None, :])[:, 0]
-    return SteeringVector(entries=entries, position=p)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    h: np.ndarray
-    gain: float
-    phase: float
-    position: np.ndarray
-
-
-def draw_channel(
-    geometry: ArrayGeometry,
-    p: np.ndarray,
-    gains: GainModel,
-    rng_seed: int,
-) -> ChannelRealization:
-    """One random channel h = G e^{j theta} a(p), deterministic given the seed."""
-    rng = np.random.default_rng(rng_seed)
-    g = float(gains.draw_gains(1, rng)[0])
-    theta = float(gains.draw_phases(1, rng)[0])
-    a = steering_vector(geometry, p).entries
-    return ChannelRealization(
-        h=g * np.exp(1j * theta) * a, gain=g, phase=theta, position=np.asarray(p, float)
-    )
+    return steering_matrix(geometry, p[None, :])[:, 0]
 
 
 @dataclass(frozen=True)

@@ -184,9 +184,7 @@ def cmd_estimate(args) -> int:
     for snr in cfg.snr_db:
         suite = estimator_suite(cov, u, cov_l, cfg.noise_variance(snr), surface)
         for tag, est in suite.items():
-            mse, stderr = monte_carlo_mse(
-                est.model, est.estimate, trials=cfg.sweep.trials, rng_seed=cfg.sweep.seed
-            )
+            mse, stderr = monte_carlo_mse(est, trials=cfg.sweep.trials, rng_seed=cfg.sweep.seed)
             results.append(
                 {
                     "scenario_id": f"d{cfg.region.distance_m:g}_b{cfg.region.bearing_rad:g}",

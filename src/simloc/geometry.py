@@ -161,12 +161,6 @@ def fraunhofer_distance(geometry: ArrayGeometry) -> float:
     return 2.0 * geometry.aperture**2 / geometry.wavelength
 
 
-def is_near_field(geometry: ArrayGeometry, p: np.ndarray) -> bool:
-    """True when point ``p`` (2D, meters) is inside the Fraunhofer distance."""
-    p = np.asarray(p, dtype=float)
-    return bool(np.linalg.norm(p) < fraunhofer_distance(geometry))
-
-
 @dataclass(frozen=True)
 class UncertaintyRegion:
     """Prior region for the transmitter: a uniform disk in the z=0 plane.
@@ -217,14 +211,6 @@ def region_at(distance: float, bearing: float, diameter: float) -> UncertaintyRe
         center=(distance * np.cos(bearing), distance * np.sin(bearing)),
         diameter=diameter,
     )
-
-
-def sample_region(region: UncertaintyRegion, n: int, rng_seed: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. points from the region prior, deterministically."""
-    if n < 1:
-        raise ConfigurationError("sample count must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    return region.sample(n, rng)
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,6 @@ def _scores(a_conj: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
     return np.abs(a_conj.T @ h_hat) ** 2 / (k * float(np.vdot(h_hat, h_hat).real))
 
 
-def correlation_scores(
-    geometry: ArrayGeometry, points: np.ndarray, h_hat: np.ndarray
-) -> np.ndarray:
-    """Concentrated-likelihood score of each candidate point, in [0, 1]."""
-    return _scores(steering_matrix(geometry, points).conj(), h_hat)
-
-
 # on an element (d_k = 0) the derivatives are not finite; callers check
 @np.errstate(divide="ignore", invalid="ignore")
 def _score_derivatives(

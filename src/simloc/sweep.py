@@ -5,7 +5,9 @@ Each cell rebuilds the prior region and channel statistics, optionally
 configures the surface against the cell's dominant eigenbasis, and emits
 one record per estimator and metric. Cells are seeded independently from
 the master seed, so any subset run in any order reproduces the same
-numbers; workers > 1 evaluates cells in a thread pool.
+numbers; workers > 1 evaluates cells in a thread pool. That measured no
+faster than one worker on a 4-cell desk sweep: the process CPU time
+equalled its wall time, so the cells serialize on the interpreter lock.
 
 Metrics per estimator tag:
 
@@ -128,7 +130,7 @@ def _localizer_rmse(
     rng = np.random.default_rng(seed)
     center = np.array(region.center)
     k = geometry.elements_per_layer
-    a = steering_vector(geometry, center).entries
+    a = steering_vector(geometry, center)
     h_hat = np.empty((trials, k), dtype=complex)
     for t in range(trials):
         theta = rng.random() * 2.0 * np.pi
@@ -223,12 +225,8 @@ def run_cell(
             emit(tag, snr, "mse_analytic", est.analytic_mse)
             exact = est.exact_mse()
             emit(tag, snr, "mse_exact", exact)
-            mse, stderr = monte_carlo_mse(
-                est.model,
-                est.estimate,
-                trials=trials,
-                rng_seed=_cell_seed(cfg.sweep.seed, cell_index, 2, idx, int(round(snr * 1000))),
-            )
+            seed = _cell_seed(cfg.sweep.seed, cell_index, 2, idx, int(round(snr * 1000)))
+            mse, stderr = monte_carlo_mse(est, trials=trials, rng_seed=seed)
             emit(tag, snr, "mse_empirical", mse, stderr, "monte-carlo")
             peb_noise[tag] = exact / k
 

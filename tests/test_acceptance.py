@@ -21,7 +21,7 @@ from simloc.channel import (
 )
 from simloc.config import load_preset
 from simloc.estimation import (
-    ObservationModel,
+    LinearEstimator,
     mmse_full,
     mmse_reduced,
     monte_carlo_mse,
@@ -89,12 +89,12 @@ class TestCriterion2FormEquivalence:
             sigma_z2 = float(rng.random() + 0.05)
             r = rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
-            closed = mmse_full(r, cov, sigma_z2).h_hat
+            closed = mmse_full(cov, sigma_z2)[0] @ r
             # spectral form over the full eigenbasis
             vals, vecs = cov.eigenvalues, cov.eigenvectors
             spectral = vecs @ ((vals / (vals + sigma_z2))[:, None] * (vecs.conj().T @ r[:, None]))
             spectral = spectral[:, 0]
-            reduced = mmse_reduced(cov.u.conj().T @ r, cov, sigma_z2).h_hat
+            reduced = mmse_reduced(cov, sigma_z2)[0] @ (cov.u.conj().T @ r)
 
             scale = np.linalg.norm(closed)
             worst = max(worst, np.linalg.norm(closed - spectral) / scale)
@@ -112,10 +112,9 @@ class TestCriterion3RslsMse:
         d = np.sort(rng.random(rank) * 4 + 0.5)[::-1]
         cov = covariance_from_matrix(q @ np.diag(d) @ q.conj().T, rank_threshold=1e-9)
         sigma_z2 = 0.37
-        model = ObservationModel(mode="ideal-projection", cov=cov, noise_variance=sigma_z2)
-        mse, stderr = monte_carlo_mse(
-            model, lambda y: rsls_ideal(y, cov.u).h_hat, trials=10_000, rng_seed=123
-        )
+        w, analytic = rsls_ideal(cov.u, sigma_z2)
+        est = LinearEstimator(w, cov.u.conj().T, cov, sigma_z2, analytic)
+        mse, stderr = monte_carlo_mse(est, trials=10_000, rng_seed=123)
         expected = sigma_z2 * rank
         assert abs(mse - expected) <= 0.03 * expected
         _ok("3 (RS-LS ideal MSE)",
@@ -143,7 +142,7 @@ class TestCriterion4PerturbationBounds:
             gram = v @ v.conj().T
             vals, vecs = np.linalg.eigh(gram)
             v_orth = (vecs * (vals**-0.5)[None, :]) @ vecs.conj().T @ v
-            check = mse_ratio_check(v_orth, q, sigma_z2=1.0)
+            check = mse_ratio_check(v_orth, q)
             assert check.applicable
             assert check.holds
             ratio_ok += 1
@@ -316,7 +315,7 @@ class TestCriterion10Localizer:
         xs = np.linspace(region.center[0] - region.radius, region.center[0] + region.radius, 33)
         ys = np.linspace(region.center[1] - region.radius, region.center[1] + region.radius, 33)
         p_true = np.array([xs[21], ys[9]])
-        h = 1.4 * np.exp(0.3j) * steering_vector(sim, p_true).entries
+        h = 1.4 * np.exp(0.3j) * steering_vector(sim, p_true)
         p_hat, score = localize(h, sim, region, loc_cfg)
         np.testing.assert_allclose(p_hat, p_true, atol=1e-12)
         assert score == pytest.approx(1.0, rel=1e-12)
@@ -329,7 +328,7 @@ class TestCriterion10Localizer:
         rep = fim_peb(sim, np.array([center[0], center[1], 1.0, 0.0]), sigma_n2)
         rng = np.random.default_rng(5)
         k = sim.elements_per_layer
-        a = steering_vector(sim, center).entries
+        a = steering_vector(sim, center)
         sq = np.empty(1000)
         for t in range(1000):
             theta = rng.random() * 2 * np.pi

@@ -3,14 +3,12 @@ import pytest
 
 from simloc.bounds import (
     channel_jacobian,
-    effective_noise_from_estimation,
     fim_peb,
     mismatch_metrics,
     mse_ratio_check,
     reduced_gram,
 )
 from simloc.errors import ConfigurationError
-from simloc.estimation import EstimationReport
 from simloc.geometry import GeometryConfig, build_sim_geometry
 
 
@@ -97,7 +95,7 @@ class TestMismatchMetrics:
 class TestMseRatioCheck:
     def test_ideal_projection_unit_ratio(self):
         u = random_subspace(10, 3, seed=11)
-        res = mse_ratio_check(u.conj().T, u, sigma_z2=0.4)
+        res = mse_ratio_check(u.conj().T, u)
         assert res.applicable and res.holds
         assert res.actual_ratio == pytest.approx(1.0, rel=1e-10)
         assert res.bound == pytest.approx(1.0, rel=1e-10)
@@ -109,7 +107,7 @@ class TestMseRatioCheck:
         for _ in range(500):
             du = rng.uniform(0.0, 0.3)
             v = row_orthonormalize(u.conj().T + random_delta(14, 4, du, u, rng))
-            res = mse_ratio_check(v, u, sigma_z2=1.0)
+            res = mse_ratio_check(v, u)
             assert res.applicable
             assert res.holds
             checked += 1
@@ -119,7 +117,7 @@ class TestMseRatioCheck:
         u = random_subspace(10, 3, seed=14)
         rng = np.random.default_rng(15)
         v = row_orthonormalize(u.conj().T + random_delta(10, 3, 0.9, u, rng))
-        res = mse_ratio_check(v, u, sigma_z2=1.0)
+        res = mse_ratio_check(v, u)
         m = mismatch_metrics(v, u)
         if 2 * m.delta_u + m.delta_u**2 >= 1.0:
             assert res.bound == np.inf
@@ -127,7 +125,7 @@ class TestMseRatioCheck:
 
     def test_non_orthonormal_reported_inapplicable(self):
         u = random_subspace(10, 3, seed=16)
-        res = mse_ratio_check(2.0 * u.conj().T, u, sigma_z2=1.0)
+        res = mse_ratio_check(2.0 * u.conj().T, u)
         assert not res.applicable
         assert res.holds  # vacuously; bound not falsified
 
@@ -236,44 +234,3 @@ class TestFimPeb:
             rep = fim_peb(sim, np.array([dist, 0.0, 1.0, 0.0]), sigma_n2=0.01)
             pebs.append(rep.peb)
         assert all(b > a for a, b in zip(pebs, pebs[1:]))
-
-    def test_colored_with_white_covariance_matches_white(self):
-        geom = line_geometry(8)
-        eps = np.array([0.8, 0.1, 1.0, 0.5])
-        sigma_n2 = 0.3
-        white = fim_peb(geom, eps, sigma_n2)
-        colored = fim_peb(geom, eps, sigma_n2, error_covariance=sigma_n2 * np.eye(8))
-        np.testing.assert_allclose(
-            colored.fim, white.fim, atol=1e-10 * np.abs(white.fim).max()
-        )
-        assert colored.peb == pytest.approx(white.peb, rel=1e-9)
-
-    def test_colored_differs_from_white_generic(self):
-        geom = line_geometry(8)
-        eps = np.array([0.8, 0.1, 1.0, 0.5])
-        rng = np.random.default_rng(20)
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        c = a @ a.conj().T / 8 + 0.01 * np.eye(8)
-        sigma_n2 = float(np.real(np.trace(c))) / 8
-        white = fim_peb(geom, eps, sigma_n2)
-        colored = fim_peb(geom, eps, sigma_n2, error_covariance=c)
-        assert not np.allclose(colored.fim, white.fim, rtol=1e-3)
-
-
-class TestEffectiveNoise:
-    def test_white_covariance_recovers_sigma(self):
-        rep = EstimationReport(
-            estimator_tag="x",
-            h_hat=np.zeros(6, dtype=complex),
-            error_covariance=0.7 * np.eye(6),
-            scalar_mse=0.7 * 6,
-        )
-        assert effective_noise_from_estimation(rep) == pytest.approx(0.7, rel=1e-12)
-
-    def test_rejects_missing_mse(self):
-        rep = EstimationReport(
-            estimator_tag="x", h_hat=np.zeros(4, dtype=complex),
-            error_covariance=None, scalar_mse=None,
-        )
-        with pytest.raises(ConfigurationError):
-            effective_noise_from_estimation(rep)

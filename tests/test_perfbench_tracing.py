@@ -50,7 +50,7 @@ def test_batched_localize_counts_one_coarse_grid():
     cfg = simloc.localizer.LocalizerConfig(coarse_grid=8)
     n = 4
     rng = np.random.default_rng(0)
-    batch = np.stack([steering_vector(sim, p).entries for p in region.sample(n, rng)])
+    batch = np.stack([steering_vector(sim, p) for p in region.sample(n, rng)])
     tracer = tracing.Tracer()
     try:
         tracer.install()

@@ -343,8 +343,8 @@ class TestNoiseInflation:
         q, _ = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
         v = rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
         c = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        rep = rsls_post_sim(np.eye(l), c * v, u @ q, sigma_z2)
-        expected = rep.scalar_mse / (sigma_z2 * l)
+        _, mse = rsls_post_sim(c * v, u @ q, sigma_z2)
+        expected = mse / (sigma_z2 * l)
         assert noise_inflation(v, u) == pytest.approx(expected, rel=1e-9)
 
 

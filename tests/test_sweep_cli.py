@@ -182,7 +182,7 @@ class TestLocalizerRmse:
         rng = np.random.default_rng(seed)
         center = np.array(region.center)
         k = geom.elements_per_layer
-        a = steering_vector(geom, center).entries
+        a = steering_vector(geom, center)
         sq = np.empty(trials)
         for t in range(trials):
             theta = rng.random() * 2.0 * np.pi
