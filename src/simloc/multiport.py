@@ -7,7 +7,8 @@ mutual coupling between all ports (including the non-unilateral layer-to-
 layer interactions); the tunable phases eta enter through a diagonal,
 purely reactive load matrix Z_s(eta). The input/output behavior is governed
 by T(eta) = inv(Z_ss + Z_s(eta)), which is never materialized: all products
-with T go through a cached LU factorization.
+with T go through a cached LU factorization, which each network makes in
+place, in one Fortran-ordered work buffer it allocates once.
 
 Ports sit on the two faces of their layer: the input port of a cell at
 x - port_offset/2, the output port at x + port_offset/2. Mutual coupling
@@ -171,8 +172,10 @@ class SimNetwork:
     """Stacked-surface network with a cached factorization of Z_ss + Z_s(eta).
 
     Immutable except for phase updates through :meth:`set_eta`, which
-    invalidate the factorization. Solves against a fixed configuration are
-    read-only and safe to share.
+    invalidate the factorization. The next solve refills the network's one
+    work buffer with Z_ss + Z_s(eta) and factorizes it in place. Solves at a
+    fixed eta, once it is factorized, only read the buffer. Sharing a
+    network across threads that call :meth:`set_eta` was never safe.
     """
 
     def __init__(
@@ -186,7 +189,7 @@ class SimNetwork:
         cond_threshold: float = 1e12,
     ):
         n_ports = 2 * n_cells
-        self.z_ss = validate_static_impedance(z_ss, n_ports)
+        self.z_ss = np.asfortranarray(validate_static_impedance(z_ss, n_ports))
         c_out = np.asarray(c_out, dtype=complex)
         if c_out.shape[1] != n_ports:
             raise ConfigurationError("output coupling has wrong port count")
@@ -199,6 +202,9 @@ class SimNetwork:
         if self._eta.shape != (n_cells,):
             raise ConfigurationError("eta must have one entry per cell")
         self._fact = None
+        self._work = np.empty_like(self.z_ss)  # Fortran order, LU in place
+        self._work_diag = self._work.reshape(-1, order="F")[:: n_ports + 1]  # a view
+        self._gecon, self._getrs = sla.get_lapack_funcs(("gecon", "getrs"), (self._work,))
         self._input_ports = np.array(
             [port_index(0, e, "in", elements_per_layer) for e in range(elements_per_layer)]
         )
@@ -246,10 +252,16 @@ class SimNetwork:
 
     def _factorization(self):
         if self._fact is None:
-            z = self.total_impedance()
-            anorm = np.linalg.norm(z, 1)
-            lu, piv = sla.lu_factor(z, check_finite=False)
-            rcond = _rcond_from_lu(lu, anorm)
+            z = self._work
+            z[...] = self.z_ss
+            self._work_diag += self.load_diagonal()
+            # the 1-norm summed row by row, as numpy does on a C-ordered array
+            anorm = np.abs(z, order="C").sum(axis=0).max()
+            # looked up at call time, so a wrapped sla.lu_factor sees every LU
+            lu, piv = sla.lu_factor(z, overwrite_a=True, check_finite=False)
+            rcond, info = self._gecon(lu, anorm, norm="1")
+            if info != 0:
+                rcond = 0.0
             if not np.isfinite(rcond) or rcond < 1.0 / self.cond_threshold:
                 raise ConditioningError(
                     "total impedance matrix is numerically singular "
@@ -262,15 +274,10 @@ class SimNetwork:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """T(eta) @ rhs through the cached factorization."""
         lu, piv = self._factorization()
-        return sla.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def _rcond_from_lu(lu: np.ndarray, anorm: float) -> float:
-    gecon = sla.get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0:
-        return 0.0
-    return float(rcond)
+        x, info = self._getrs(lu, piv, rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of getrs")
+        return x
 
 
 def build_sim_network(

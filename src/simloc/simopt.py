@@ -37,13 +37,18 @@ no further progress).
 
 The gradient is analytic throughout: with T = inv(Z_ss + Z_s(eta)),
 dT/deta_m = -T (dZ_s/deta_m) T, and dZ_s/deta_m touches only the two ports
-of cell m, so one evaluation costs a factorization plus M forward and M
-adjoint solves, never forming T.
+of cell m, so one evaluation costs one factorization, made in place in the
+network's work buffer, plus M adjoint and M forward solves, never forming
+T. The forward right-hand side is the weighted residual scattered onto the
+input ports. The stop rule reuses the evaluation's rotation and recomputes
+only the gain under the final weighting, and the delta metrics of an
+evaluation are computed only when the stop rule or a trace row reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,11 +58,7 @@ from scipy.optimize import minimize
 from . import matio
 from .bounds import mse_ratio_bound, noise_inflation
 from .errors import ConditioningError, ConfigurationError, OptimizationError
-from .multiport import (
-    SimNetwork,
-    input_embedding,
-    load_reactance_slope,
-)
+from .multiport import SimNetwork, load_reactance_slope
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,27 @@ class OptimizationTrace:
 
 @dataclass(frozen=True)
 class _EvalState:
-    """Everything derivable from one factorization at the current eta."""
+    """Everything derivable from one factorization at the current eta.
+
+    The delta metrics are computed from the residual on first read: within
+    a stage before the last, only a trace row reads them."""
 
     objective: float
     v: np.ndarray
     scale: complex
     rotation_h: np.ndarray  # Q^H, identity when rotation is off
     target_eff: np.ndarray  # (U Q)^H
-    delta_u: float
-    delta_rel: float
+    delta: np.ndarray  # c V - (U Q)^H
+    u: np.ndarray
     b: np.ndarray  # T @ C_out^T, reused by the gradient's adjoint pass
+
+    @cached_property
+    def delta_u(self) -> float:
+        return _delta_u(self.delta, self.u)
+
+    @cached_property
+    def delta_rel(self) -> float:
+        return _delta_rel(self.delta, self.u)
 
 
 def _weight_matrix(u: np.ndarray, w_perp: float) -> Optional[np.ndarray]:
@@ -160,6 +172,18 @@ def _weight_matrix(u: np.ndarray, w_perp: float) -> Optional[np.ndarray]:
         return None
     k = u.shape[0]
     return w_perp * np.eye(k) + (1.0 - w_perp) * (u @ u.conj().T)
+
+
+def _gain(v: np.ndarray, y: np.ndarray, w2: Optional[np.ndarray]) -> complex:
+    """The gain c minimizing the W^2-weighted ||c V - Y||."""
+    if w2 is None:
+        num, den = np.vdot(v, y), np.vdot(v, v).real
+    else:
+        w2_vh = w2 @ v.conj().T
+        num, den = np.trace(w2_vh @ y), np.real(np.trace(w2_vh @ v))
+    if den == 0.0:
+        return 1.0 + 0.0j
+    return complex(num / den)
 
 
 def _concentrate(
@@ -171,27 +195,30 @@ def _concentrate(
 ) -> Tuple[complex, np.ndarray]:
     """Closed-form minimization over the unitary Q^H, then the gain c.
 
-    Q^H is the polar factor P of V U = P H. Because U^H W^2 = U^H, the gain
-    that follows is tr(H) / tr(W^2 V^H V), real and positive, so a further
-    rotation step would return the same P: one round of the gain/rotation
-    alternation is its fixed point.
+    Q^H is the polar factor P of V U = P H, whatever the weighting. Because
+    U^H W^2 = U^H, the gain that follows is tr(H) / tr(W^2 V^H V), real and
+    positive, so a further rotation step would return the same P: one round
+    of the gain/rotation alternation is its fixed point.
     """
-    q_h = np.eye(u.shape[1], dtype=complex)
     y = u.conj().T
     if with_rotation:
         left, _, right = np.linalg.svd(v @ u)
         q_h = left @ right  # unitary closest to V U
         y = q_h @ y
+    else:
+        q_h = np.eye(u.shape[1], dtype=complex)
     if not with_scale:
         return 1.0 + 0.0j, q_h
-    if w2 is None:
-        num, den = np.vdot(v, y), np.vdot(v, v).real
-    else:
-        w2_vh = w2 @ v.conj().T
-        num, den = np.trace(w2_vh @ y), np.real(np.trace(w2_vh @ v))
-    if den == 0.0:
-        return 1.0 + 0.0j, q_h
-    return complex(num / den), q_h
+    return _gain(v, y, w2), q_h
+
+
+def _delta_u(delta: np.ndarray, u: np.ndarray) -> float:
+    """||Delta U||_2, the largest singular value."""
+    return float(np.linalg.svd(delta @ u, compute_uv=False)[0])
+
+
+def _delta_rel(delta: np.ndarray, u: np.ndarray) -> float:
+    return float(np.linalg.norm(delta, "fro") / np.sqrt(u.shape[1]))
 
 
 def _mismatch(
@@ -200,17 +227,15 @@ def _mismatch(
     w2: Optional[np.ndarray],
     with_scale: bool,
     with_rotation: bool,
-) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Concentrate c and Q^H, then the residual Delta = c V - Q^H U^H and its
-    metrics: returns (c, Q^H, Q^H U^H, Delta, delta_U, delta_rel)."""
+) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
+    """Concentrate c and Q^H, then the residual Delta = c V - Q^H U^H:
+    returns (c, Q^H, Q^H U^H, Delta)."""
     c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
     y = q_h @ u.conj().T
     delta = c * v - y
     if not np.isfinite(delta).all():
         raise OptimizationError("projection mismatch is not finite")
-    delta_u = float(np.linalg.norm(delta @ u, 2))
-    delta_rel = float(np.linalg.norm(delta, "fro") / np.sqrt(u.shape[1]))
-    return c, q_h, y, delta, delta_u, delta_rel
+    return c, q_h, y, delta
 
 
 def _evaluate(
@@ -222,14 +247,14 @@ def _evaluate(
 ) -> _EvalState:
     b = net.solve(net.c_out.T)  # adjoint pass, M columns
     v = b[net.input_port_indices(), :].T
-    c, q_h, y, delta, delta_u, delta_rel = _mismatch(v, u, w2, with_scale, with_rotation)
+    c, q_h, y, delta = _mismatch(v, u, w2, with_scale, with_rotation)
     if w2 is None:
         obj = float(np.linalg.norm(delta, "fro") ** 2)
     else:
         obj = float(np.real(np.trace(w2 @ delta.conj().T @ delta)))
     if not np.isfinite(obj):
         raise OptimizationError("objective is not finite")
-    return _EvalState(obj, v, c, q_h, y, delta_u, delta_rel, b)
+    return _EvalState(obj, v, c, q_h, y, delta, u, b)
 
 
 def _gradient_from_state(
@@ -238,7 +263,10 @@ def _gradient_from_state(
     residual = state.scale * state.v - state.target_eff
     if w2 is not None:
         residual = residual @ w2
-    p = net.solve(input_embedding(net) @ residual.conj().T)  # forward pass, M columns
+    # forward pass, M columns: E_in R^H, R^H scattered onto the input ports
+    rhs = np.zeros((net.n_ports, residual.shape[0]), dtype=complex, order="F")
+    rhs[net.input_port_indices()] = residual.conj().T
+    p = net.solve(rhs)
     w = (p * state.b).sum(axis=1)  # diag of (T E_in) R^H (C_out T)
     w_cell = w[0::2] + w[1::2]
     slope = load_reactance_slope(net.eta, net.x0)
@@ -315,6 +343,21 @@ class _TargetMet(Exception):
         self.x = x
 
 
+def _final_delta_u(
+    state: _EvalState,
+    u: np.ndarray,
+    w2: Optional[np.ndarray],
+    final_w2: Optional[np.ndarray],
+) -> float:
+    """delta_U of the state's V under the final-stage weighting. Q^H and
+    Y = Q^H U^H do not depend on the weighting, so a state evaluated at an
+    earlier stage's W^2 only needs the gain c again."""
+    if w2 is final_w2:
+        return state.delta_u
+    c = _gain(state.v, state.target_eff, final_w2)
+    return _delta_u(c * state.v - state.target_eff, u)
+
+
 def _meets_target(
     state: _EvalState,
     u: np.ndarray,
@@ -325,12 +368,8 @@ def _meets_target(
     """The stop rule: delta_U under the final-stage weighting within the
     target, and the RS-LS noise inflation within the MSE ratio bound the
     target implies."""
-    if w2 is final_w2:
-        delta_u = state.delta_u
-    else:
-        delta_u = _mismatch(state.v, u, final_w2, True, True)[4]
     return (
-        delta_u <= target_delta_u
+        _final_delta_u(state, u, w2, final_w2) <= target_delta_u
         and noise_inflation(state.v, u) <= mse_ratio_bound(target_delta_u)
     )
 
@@ -470,14 +509,14 @@ def calibrate_projection(
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
     w2 = _weight_matrix(u, w_perp)
-    c, q_h, _, _, delta_u, delta_rel = _mismatch(v, u, w2, with_scale, with_rotation)
+    c, q_h, _, delta = _mismatch(v, u, w2, with_scale, with_rotation)
     return CalibratedProjection(
         v_scaled=c * v,
         u_basis=u @ q_h.conj().T,
         scale=c,
         rotation=q_h.conj().T,
-        delta_u=delta_u,
-        delta_rel=delta_rel,
+        delta_u=_delta_u(delta, u),
+        delta_rel=_delta_rel(delta, u),
     )
 
 

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simloc.errors import ConditioningError, ConfigurationError
 from simloc.geometry import GeometryConfig, build_sim_geometry
@@ -28,6 +32,11 @@ def desk_network(k_y=16, layers=3, m=4, params=None, seed=None):
         rng = np.random.default_rng(seed)
         net.set_eta(rng.uniform(-3, 3, net.n_cells))
     return net
+
+
+@lru_cache(maxsize=1)
+def _cached_network():
+    return desk_network(k_y=8, layers=3, m=3)
 
 
 def diagonal_network(z0, n_cells=4, m=2, x0=50.0):
@@ -112,6 +121,52 @@ class TestTransferMatrix:
         with pytest.raises(ConditioningError):
             net.solve(np.ones(4, dtype=complex))
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_exact_zero_pivot_raises(self):
+        # getrf meets an exact zero pivot: lu_factor only warns, and the
+        # zero reciprocal condition from gecon raises
+        z = np.diag([0j, 50.0, 50.0, 50.0])
+        net = SimNetwork(z, np.ones((1, 4), dtype=complex), 2, 2)
+        net.set_eta(np.zeros(2))
+        with pytest.raises(ConditioningError):
+            net.solve(np.ones(4, dtype=complex))
+
+    def test_factorizes_again_after_a_conditioning_error(self):
+        z = np.diag([1e-18 + 0j, 50.0, 50.0, 50.0])
+        net = SimNetwork(z, np.ones((1, 4), dtype=complex), 2, 2)
+        net.set_eta(np.zeros(2))
+        with pytest.raises(ConditioningError):
+            net.solve(np.ones(4, dtype=complex))
+        eta = np.array([0.7, -1.1])
+        net.set_eta(eta)
+        fresh = SimNetwork(z, np.ones((1, 4), dtype=complex), 2, 2, eta=eta)
+        np.testing.assert_array_equal(net.solve(np.eye(4)), fresh.solve(np.eye(4)))
+        expected = 1.0 / (np.diag(z) + 1j * 50.0 * np.tan(np.repeat(eta, 2) / 2.0))
+        np.testing.assert_allclose(np.diag(net.solve(np.eye(4))), expected, rtol=1e-12)
+
+    def test_solve_raises_on_getrs_error(self):
+        net = desk_network(k_y=4, layers=1, m=2, seed=0)
+        net._getrs = lambda lu, piv, b: (b, -3)
+        with pytest.raises(ValueError, match="3th argument"):
+            net.solve(net.c_out.T)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reused_buffer_solves_like_a_fresh_network(self, seed):
+        # set_eta(a), (b), (a) refill the one work buffer: the last solve
+        # equals a fresh network's at a bit for bit
+        net = _cached_network()
+        rng = np.random.default_rng(seed)
+        eta_a, eta_b = rng.uniform(-3.0, 3.0, (2, net.n_cells))
+        rhs = rng.standard_normal((net.n_ports, 3)) + 1j * rng.standard_normal((net.n_ports, 3))
+        for eta in (eta_a, eta_b, eta_a):
+            net.set_eta(eta)
+            got = net.solve(rhs)
+        fresh = SimNetwork(net.z_ss, net.c_out, net.n_cells, net.elements_per_layer, eta=eta_a)
+        np.testing.assert_array_equal(got, fresh.solve(rhs))
+        direct = np.linalg.solve(net.total_impedance(), rhs)
+        assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
+
     def test_reciprocity_of_t(self):
         net = desk_network(k_y=4, layers=2, m=2, seed=1)
         t = net.solve(np.eye(net.n_ports))
@@ -164,8 +219,11 @@ class TestEffectiveProjection:
         got = effective_projection_matrix(net)
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
-    def test_row_solve_equals_column_solve(self):
-        net = desk_network(k_y=8, layers=3, m=3, seed=4)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_row_solve_equals_column_solve(self, seed):
+        net = _cached_network()
+        net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
         a = effective_projection_matrix(net)
         b = effective_projection_rowsolve(net)
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)

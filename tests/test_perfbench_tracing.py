@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 
 import simloc.localizer
+import simloc.simopt
 import simloc.sweep
 from simloc.channel import steering_vector
 from simloc.geometry import GeometryConfig, UncertaintyRegion, build_sim_geometry
+from simloc.multiport import build_sim_network
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -61,3 +63,36 @@ def test_batched_localize_counts_one_coarse_grid():
         tracer.uninstall()
     assert tracer.counts["localizer.steering_cols"] == cfg.coarse_grid**2
     assert [span[0] for span in tracer.spans] == ["localizer.localize"]
+
+
+def test_optimizer_lus_are_traced():
+    # the benchmark counts LUs by wrapping the scipy.linalg that multiport
+    # calls at factorization time: every factorization the network performs
+    # must show up as one multiport.lu span
+    tracing = load_tracing()
+    sim, rx = build_sim_geometry(
+        GeometryConfig(k_y=8, k_z=1, layers=2, carrier_frequency_hz=28e9, receiver_elements=3)
+    )
+    net = build_sim_network(sim, rx)
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
+    misses = {"n": 0}
+    factorization = net._factorization
+
+    def counting_factorization():
+        misses["n"] += net._fact is None
+        return factorization()
+
+    net._factorization = counting_factorization
+    cfg = simloc.simopt.OptimizerConfig(rng_seed=3, max_iters=20, target_delta_u=0.0)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.start()
+        simloc.simopt.optimize(net, u.conj().T, cfg)
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    lu_spans = sum(span[0] == "multiport.lu" for span in tracer.spans)
+    assert misses["n"] > 0
+    assert lu_spans == misses["n"]

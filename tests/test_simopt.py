@@ -1,5 +1,4 @@
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +19,13 @@ from simloc.multiport import (
 from simloc.simopt import (
     OptimizerConfig,
     _concentrate,
+    _delta_u,
+    _EvalState,
     _evaluate,
+    _final_delta_u,
     _gradient_from_state,
     _meets_target,
+    _mismatch,
     _weight_matrix,
     calibrate_projection,
     finite_difference_gradient,
@@ -154,6 +157,27 @@ class TestGradient:
         g = _gradient_from_state(net, state, w2)
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        w_perp=st.sampled_from([None, 0.0, 0.1, 0.2]),
+    )
+    def test_scattered_forward_rhs_equals_embedding_product(self, seed, w_perp):
+        # R^H scattered onto the input ports is E_in @ R^H exactly, so the
+        # gradient is bit for bit the one the dense embedding gave
+        net, u = _cached_desk_setup()
+        net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
+        w2 = None if w_perp is None else _weight_matrix(u, w_perp)
+        state = _evaluate(net, u, w2, True, True)
+        residual = state.scale * state.v - state.target_eff
+        if w2 is not None:
+            residual = residual @ w2
+        p = net.solve(input_embedding(net) @ residual.conj().T)
+        w = (p * state.b).sum(axis=1)
+        slope = load_reactance_slope(net.eta, net.x0)
+        ref = -2.0 * slope * np.real(1j * state.scale * (w[0::2] + w[1::2]))
+        np.testing.assert_array_equal(_gradient_from_state(net, state, w2), ref)
+
 
 class TestOptimize:
     def test_desk_scale_reaches_target(self):
@@ -204,6 +228,7 @@ class TestOptimize:
         assert traced.iterations > len(OptimizerConfig().complement_weights)
         np.testing.assert_array_equal(traced.final_eta, untraced.final_eta)
         assert traced.objective[-1] == untraced.objective[-1]
+        assert traced_lu > 0  # the factorization still goes through sla.lu_factor
         assert traced_lu == untraced_lu
 
     def test_trace_csv_round_trip(self, tmp_path):
@@ -348,6 +373,12 @@ class TestNoiseInflation:
         assert noise_inflation(v, u) == pytest.approx(expected, rel=1e-9)
 
 
+def _state_at(v, u, w2):
+    """The evaluation state the optimizer holds for V at stage weight W^2."""
+    c, q_h, y, delta = _mismatch(v, u, w2, True, True)
+    return _EvalState(0.0, v, c, q_h, y, delta, u, None)
+
+
 class TestStopRule:
     def test_complement_leakage_blocks_the_stop(self):
         # V = U^H plus rows in the complement of U: V U = I, so under the
@@ -364,5 +395,26 @@ class TestStopRule:
         final_w2 = _weight_matrix(u, 0.2)
         assert calibrate_projection(v, u, w_perp=0.2).delta_u <= tau
         assert noise_inflation(v, u) == pytest.approx(1.5, rel=1e-12)
-        assert not _meets_target(SimpleNamespace(v=v), u, None, final_w2, tau)
-        assert _meets_target(SimpleNamespace(v=u.conj().T), u, None, final_w2, tau)
+        assert not _meets_target(_state_at(v, u, None), u, None, final_w2, tau)
+        assert _meets_target(_state_at(u.conj().T, u, None), u, None, final_w2, tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 24),
+        l=st.integers(1, 6),
+        schedule=st.sampled_from([(0.0, 0.1, 0.2), (0.0, 0.5, 1.0)]),
+    )
+    def test_final_delta_u_equals_full_mismatch(self, seed, k, l, schedule):
+        # at every stage, the stop rule's delta_U (only the gain recomputed)
+        # is the one a full mismatch under the final weighting gives
+        l = min(l, k)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
+        b = rng.standard_normal((k + 3, l)) + 1j * rng.standard_normal((k + 3, l))
+        v = b[:k, :].T
+        stage_w2 = [_weight_matrix(u, w_perp) for w_perp in schedule]
+        final_w2 = stage_w2[-1]
+        expected = _delta_u(_mismatch(v, u, final_w2, True, True)[3], u)
+        for w2 in stage_w2:
+            assert _final_delta_u(_state_at(v, u, w2), u, w2, final_w2) == expected
