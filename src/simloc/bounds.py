@@ -3,7 +3,9 @@ operator, and the Fisher-information position error bound.
 
 The projection error Delta = V - U^H is summarized by the relative
 Frobenius mismatch delta_rel = ||Delta||_F / sqrt(L) and the effective
-subspace mismatch delta_U = ||Delta U||_2. The reduced operator Gram matrix
+subspace mismatch delta_U = ||Delta U||_2 (:func:`relative_mismatch` and
+:func:`subspace_mismatch`, which the optimizer's trace and stop rule call
+too). The reduced operator Gram matrix
 G(V) = (V U)^H (V U) = I + E has all eigenvalues inside
 [1 - (2 delta_U + delta_U^2), 1 + (2 delta_U + delta_U^2)], which bounds the
 least-squares MSE degradation of an energy-preserving projection by
@@ -39,9 +41,15 @@ class MismatchMetrics:
     eig_box: Tuple[float, float]
     mse_ratio_bound: float
 
-    @property
-    def box_halfwidth(self) -> float:
-        return 2.0 * self.delta_u + self.delta_u**2
+
+def subspace_mismatch(delta: np.ndarray, u: np.ndarray) -> float:
+    """delta_U = ||Delta U||_2, the largest singular value of Delta U."""
+    return float(np.linalg.svd(delta @ u, compute_uv=False)[0])
+
+
+def relative_mismatch(delta: np.ndarray, u: np.ndarray) -> float:
+    """delta_rel = ||Delta||_F / sqrt(L)."""
+    return float(np.linalg.norm(delta, "fro") / np.sqrt(u.shape[1]))
 
 
 def mismatch_metrics(v: np.ndarray, u: np.ndarray) -> MismatchMetrics:
@@ -54,14 +62,13 @@ def mismatch_metrics(v: np.ndarray, u: np.ndarray) -> MismatchMetrics:
             f"projection shape {v.shape} incompatible with subspace {u.shape}"
         )
     delta = v - u.conj().T
+    delta_u = subspace_mismatch(delta, u)
     delta_u_mat = delta @ u
-    delta_rel = float(np.linalg.norm(delta, "fro") / np.sqrt(l))
-    delta_u = float(np.linalg.norm(delta_u_mat, 2))
     e = delta_u_mat + delta_u_mat.conj().T + delta_u_mat.conj().T @ delta_u_mat
     e_norm = float(np.linalg.norm(e, 2))
     half = 2.0 * delta_u + delta_u**2
     return MismatchMetrics(
-        delta_rel=delta_rel,
+        delta_rel=relative_mismatch(delta, u),
         delta_u=delta_u,
         e_norm=e_norm,
         eig_box=(1.0 - half, 1.0 + half),

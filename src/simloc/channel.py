@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import ArrayGeometry, GainModel, UncertaintyRegion
+from .geometry import ArrayGeometry, GainModel, UncertaintyRegion, pairwise_distances
 
 _COV_CHUNK = 4096
 
@@ -30,13 +30,7 @@ def _embed_xy(points: np.ndarray) -> np.ndarray:
 
 def element_distances(geometry: ArrayGeometry, points: np.ndarray) -> np.ndarray:
     """(K, n) distances from each input-layer element to each point."""
-    pts = _embed_xy(points)
-    pos = geometry.first_layer_positions
-    # squares summed x + y + z, left to right, with no (K, n, 3) temporary
-    sq = (pos[:, 0, None] - pts[None, :, 0]) ** 2
-    for j in (1, 2):
-        sq += (pos[:, j, None] - pts[None, :, j]) ** 2
-    return np.sqrt(sq)
+    return pairwise_distances(geometry.first_layer_positions, _embed_xy(points))
 
 
 def steering_matrix(geometry: ArrayGeometry, points: np.ndarray) -> np.ndarray:
@@ -164,28 +158,15 @@ def estimate_covariance(
         a = steering_matrix(geometry, points[start : start + _COV_CHUNK])
         acc += a @ a.conj().T
     r = gains.mean_square_gain * acc / n_samples
-    r = 0.5 * (r + r.conj().T)
-
-    vals, vecs = _canonical_eigh(r)
-    lmax = float(vals[0])
-    rank = int(np.count_nonzero(vals > rank_threshold * lmax))
-    rank = max(rank, 1)
-    return CovarianceModel(
-        r_h=r,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        rank=rank,
-        u=vecs[:, :rank].copy(),
-        d=vals[:rank].copy(),
-        mc_samples=n_samples,
-        rank_threshold=rank_threshold,
-    )
+    return covariance_from_matrix(r, rank_threshold, mc_samples=n_samples)
 
 
 def covariance_from_matrix(
     r: np.ndarray, rank_threshold: float = 1e-6, mc_samples: int = 0
 ) -> CovarianceModel:
-    """Wrap an explicitly given covariance matrix (tests, file import)."""
+    """The covariance model of a given Hermitian matrix: its Hermitian part,
+    canonical eigendecomposition and the rank at ``rank_threshold`` times the
+    largest eigenvalue (at least 1)."""
     r = np.asarray(r, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ConfigurationError("covariance must be square")

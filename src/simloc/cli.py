@@ -21,18 +21,23 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import matio
-from .bounds import fim_peb, mismatch_metrics, mse_ratio_check, noise_inflation
-from .channel import estimate_covariance, reduce_subspace
+from .bounds import mismatch_metrics, mse_ratio_check, noise_inflation
 from .config import PRESETS, ScenarioConfig, load_config, load_preset
 from .errors import ConditioningError, ConfigurationError, EstimationError, OptimizationError
-from .estimation import estimator_suite, monte_carlo_mse, reduced_model
-from .geometry import build_sim_geometry, fraunhofer_distance
-from .multiport import build_network, effective_projection_matrix, row_orthonormality_gap
+from .estimation import estimator_suite, monte_carlo_mse
+from .geometry import fraunhofer_distance
+from .multiport import build_network, row_orthonormality_gap
 from .simopt import calibrate_projection, optimize_multistart
-from .sweep import load_records, plot_tables, run_sweep, save_records
+from .sweep import (
+    calibrated_surface,
+    load_records,
+    plot_tables,
+    point_model,
+    position_bound,
+    run_sweep,
+    save_records,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,24 +71,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _build_covariance(cfg: ScenarioConfig):
-    sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
-    cov = estimate_covariance(
-        sim_geom,
-        cfg.region.build(),
-        cfg.gain,
-        n_samples=cfg.covariance.samples,
-        rng_seed=cfg.covariance.seed,
-        rank_threshold=cfg.covariance.rank_threshold,
-    )
-    return sim_geom, rx_geom, cov
+def _point_model(cfg: ScenarioConfig):
+    """The scenario's own point: its region and covariance seed."""
+    return point_model(cfg, cfg.region.build(), cfg.covariance.seed)
 
 
 def cmd_covariance(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    sim_geom, _, cov = _build_covariance(cfg)
-    u, d = reduce_subspace(cov, l_fixed=cfg.outputs)
+    sim_geom, _, cov, u, _ = _point_model(cfg)
     matio.save_complex_matrix(out / "covariance.cmat", cov.r_h)
     matio.save_complex_matrix(out / "subspace_u.cmat", u)
     matio.save_real_vector(out / "eigenvalues.rvec", cov.eigenvalues)
@@ -107,7 +103,7 @@ def cmd_covariance(args) -> int:
 def cmd_optimize_sim(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    sim_geom, rx_geom, cov = _build_covariance(cfg)
+    sim_geom, rx_geom, _, u, _ = _point_model(cfg)
     if args.subspace:
         u = matio.load_complex_matrix(args.subspace)
         if u.shape != (sim_geom.elements_per_layer, cfg.outputs):
@@ -115,28 +111,25 @@ def cmd_optimize_sim(args) -> int:
                 f"subspace file has shape {u.shape}, expected "
                 f"({sim_geom.elements_per_layer}, {cfg.outputs})"
             )
-    else:
-        u, _ = reduce_subspace(cov, l_fixed=cfg.outputs)
 
     net = build_network(cfg, sim_geom, rx_geom)
     trace = optimize_multistart(net, u.conj().T, cfg.optimizer, restarts=cfg.optimizer_restarts)
     trace.to_csv(out / "trace.csv")
     matio.save_real_vector(out / "eta.rvec", trace.final_eta)
-    v_s = trace.scale * effective_projection_matrix(net)
-    matio.save_complex_matrix(out / "projection.cmat", v_s)
-    u_rot = trace.rotated_basis(u)
-    matio.save_complex_matrix(out / "subspace_matched.cmat", u_rot)
-    m = mismatch_metrics(v_s, u_rot)
+    cal = calibrated_surface(cfg, net, u)
+    matio.save_complex_matrix(out / "projection.cmat", cal.v_scaled)
+    matio.save_complex_matrix(out / "subspace_matched.cmat", cal.u_basis)
+    m = mismatch_metrics(cal.v_scaled, cal.u_basis)
     report = {
         "converged": trace.converged,
         "stopped_on_target": trace.stopped_on_target,
         "iterations": trace.iterations,
         "delta_u": m.delta_u,
         "delta_rel": m.delta_rel,
-        "row_orthonormality_gap": row_orthonormality_gap(v_s),
-        "noise_inflation": noise_inflation(v_s, u_rot),
+        "row_orthonormality_gap": row_orthonormality_gap(cal.v_scaled),
+        "noise_inflation": noise_inflation(cal.v_scaled, cal.u_basis),
         "target_delta_u": cfg.target_delta_u,
-        "scale": [trace.scale.real, trace.scale.imag],
+        "scale": [cal.scale.real, cal.scale.imag],
     }
     (out / "optimize_report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(
@@ -151,7 +144,7 @@ def _surface_projection(args, cfg, sim_geom, rx_geom, u):
     """Resolve the post-surface projection from --eta / --projection flags.
 
     Returns ``(v_scaled, u_basis)`` calibrated with the ensemble-weighted
-    gain and output rotation, the same convention the optimizer reports, or
+    gain and output rotation, as ``optimize-sim`` reports its surface, or
     None when no surface input was given.
     """
     if args.projection and args.eta:
@@ -163,21 +156,19 @@ def _surface_projection(args, cfg, sim_geom, rx_geom, u):
                 f"projection file has shape {v.shape}, expected "
                 f"({cfg.outputs}, {sim_geom.elements_per_layer})"
             )
+        cal = calibrate_projection(v, u, w_perp=cfg.optimizer.complement_weights[-1])
     elif args.eta:
         eta = matio.load_real_vector(args.eta)
-        net = build_network(cfg, sim_geom, rx_geom, eta=eta)
-        v = effective_projection_matrix(net)
+        cal = calibrated_surface(cfg, build_network(cfg, sim_geom, rx_geom, eta=eta), u)
     else:
         return None
-    cal = calibrate_projection(v, u, w_perp=cfg.optimizer.complement_weights[-1])
     return cal.v_scaled, cal.u_basis
 
 
 def cmd_estimate(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    sim_geom, rx_geom, cov = _build_covariance(cfg)
-    u, cov_l = reduced_model(cov, cfg.outputs)
+    sim_geom, rx_geom, cov, u, cov_l = _point_model(cfg)
     surface = _surface_projection(args, cfg, sim_geom, rx_geom, u)
 
     results = []
@@ -204,11 +195,10 @@ def cmd_estimate(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    sim_geom, rx_geom, cov = _build_covariance(cfg)
-    u, cov_l = reduced_model(cov, cfg.outputs)
+    sim_geom, rx_geom, cov, u, cov_l = _point_model(cfg)
     surface = _surface_projection(args, cfg, sim_geom, rx_geom, u)
-    center = cfg.region.build().center
-    report = {"region_center": list(center), "outputs": cfg.outputs}
+    region = cfg.region.build()
+    report = {"region_center": list(region.center), "outputs": cfg.outputs}
 
     if surface is not None:
         v, u_basis = surface
@@ -233,10 +223,7 @@ def cmd_bounds(args) -> int:
     for snr in cfg.snr_db:
         suite = estimator_suite(cov, u, cov_l, cfg.noise_variance(snr), surface)
         mmse = suite["mmse-ideal" if surface is None else "mmse-sim"]
-        sigma_n2 = mmse.exact_mse() / cov.dim
-        peb = fim_peb(
-            sim_geom, np.array([center[0], center[1], cfg.gain.mean_gain, 0.0]), sigma_n2
-        )
+        sigma_n2, peb = position_bound(sim_geom, region, cfg, mmse)
         peb_rows.append(
             {
                 "snr_db": snr,

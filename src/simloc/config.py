@@ -61,6 +61,10 @@ class SweepConfig:
     sim: str = "optimize"  # none | optimize | eta
 
     def __post_init__(self) -> None:
+        for key in ("distances_m", "bearings_rad", "snr_db"):
+            values = getattr(self, key)
+            if values is not None and len(values) == 0:
+                raise ConfigurationError(f"sweep.{key} must not be empty")
         if self.sim not in ("none", "optimize", "eta"):
             raise ConfigurationError("sweep.sim must be none, optimize, or eta")
         if self.trials < 100:
@@ -75,7 +79,6 @@ class ScenarioConfig:
     region: RegionConfig
     gain: GainModel
     outputs: int
-    target_delta_u: float
     snr_db: Tuple[float, ...]
     covariance: CovarianceConfig
     impedance: ImpedanceParams
@@ -84,6 +87,11 @@ class ScenarioConfig:
     optimizer_restarts: int
     localizer: LocalizerConfig
     sweep: SweepConfig
+
+    @property
+    def target_delta_u(self) -> float:
+        """The subspace mismatch target, held by the optimizer settings."""
+        return self.optimizer.target_delta_u
 
     def noise_variance(self, snr_db: float) -> float:
         """Interference power for a given SNR, defined against the average
@@ -185,7 +193,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
             "k_z",
             "layers",
             "carrier_frequency_hz",
-            "receiver_elements",
             "element_spacing_m",
             "layer_spacing_m",
             "receiver_spacing_m",
@@ -324,7 +331,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
         region=region,
         gain=gain,
         outputs=outputs,
-        target_delta_u=target_delta_u,
         snr_db=snr_db,
         covariance=covariance,
         impedance=impedance,

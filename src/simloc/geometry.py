@@ -80,10 +80,6 @@ class ArrayGeometry:
         """Positions of the input layer, the one that samples the incident field."""
         return self.positions[: self.elements_per_layer]
 
-    def layer_positions(self, q: int) -> np.ndarray:
-        k = self.elements_per_layer
-        return self.positions[q * k : (q + 1) * k]
-
 
 def _planar_layer(k_y: int, k_z: int, spacing: float, x: float) -> np.ndarray:
     """Element positions of one y-z layer centered on the x axis."""
@@ -94,11 +90,23 @@ def _planar_layer(k_y: int, k_z: int, spacing: float, x: float) -> np.ndarray:
     return out
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two sets of 3D points.
+
+    The squares are summed x + y + z, left to right, as the broadcast
+    ``sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2))`` sums them, but with
+    no (len(a), len(b), 3) temporary.
+    """
+    d = (a[:, 0, None] - b[None, :, 0]) ** 2
+    for j in (1, 2):
+        d += (a[:, j, None] - b[None, :, j]) ** 2
+    return np.sqrt(d, out=d)
+
+
 def _max_pairwise_distance(points: np.ndarray) -> float:
     if len(points) < 2:
         return 0.0
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+    return float(pairwise_distances(points, points).max())
 
 
 def build_sim_geometry(config: GeometryConfig) -> Tuple[ArrayGeometry, ArrayGeometry]:
@@ -237,6 +245,3 @@ class GainModel:
     def draw_gains(self, n: int, rng: np.random.Generator) -> np.ndarray:
         x_db = rng.normal(0.0, self.shadowing_std_db, size=n)
         return self.mean_gain * 10.0 ** (x_db / 20.0)
-
-    def draw_phases(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(n) * 2.0 * np.pi

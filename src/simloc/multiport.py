@@ -31,7 +31,7 @@ import scipy.linalg as sla
 
 from . import matio
 from .errors import ConditioningError, ConfigurationError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, pairwise_distances
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -72,11 +72,6 @@ def port_index(layer: int, element: int, side: str, elements_per_layer: int) -> 
     raise ConfigurationError(f"unknown port side {side!r}")
 
 
-def cell_ports(cell: int) -> tuple[int, int]:
-    """(input, output) port indices of flat cell index q*K + k."""
-    return 2 * cell, 2 * cell + 1
-
-
 def port_positions(geometry: ArrayGeometry, params: ImpedanceParams) -> np.ndarray:
     """(2QK, 3) port coordinates: input faces interleaved with output faces."""
     off = params.port_offset_wavelengths * geometry.wavelength
@@ -105,17 +100,15 @@ def build_impedance(geometry: ArrayGeometry, params: ImpedanceParams) -> np.ndar
     distance-decaying mutual term.
     """
     ppos = port_positions(geometry, params)
-    n_ports = len(ppos)
-    diff = ppos[:, None, :] - ppos[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=2))
+    d = pairwise_distances(ppos, ppos)
     np.fill_diagonal(d, 1.0)  # placeholder, intra-cell entries overwritten below
     z = mutual_coupling(d, params.beta, geometry.wavelength)
-    for c in range(n_ports // 2):
-        i, o = cell_ports(c)
-        z[i, i] = params.z_self
-        z[o, o] = params.z_self
-        z[i, o] = params.gamma
-        z[o, i] = params.gamma
+    i = np.arange(0, len(ppos), 2)  # input port of each cell, its output port is i + 1
+    o = i + 1
+    z[i, i] = params.z_self
+    z[o, o] = params.z_self
+    z[i, o] = params.gamma
+    z[o, i] = params.gamma
     return z
 
 
@@ -142,8 +135,7 @@ def build_output_coupling(
     k = geometry.elements_per_layer
     last = geometry.layers - 1
     out_ports = np.array([port_index(last, e, "out", k) for e in range(k)])
-    diff = receiver.positions[:, None, :] - ppos[None, out_ports, :]
-    d = np.sqrt((diff**2).sum(axis=2))
+    d = pairwise_distances(receiver.positions, ppos[out_ports])
     m = mutual_coupling(d, params.beta, geometry.wavelength)
     c_out = np.zeros((len(receiver.positions), 2 * geometry.total_elements), dtype=complex)
     c_out[:, out_ports] = m

@@ -19,8 +19,13 @@ differs from the bare objective in two documented ways:
 * alongside the gain c, a unitary recombination Q of the receiver outputs
   is concentrated out (closed-form polar factor). Which eigendirection
   lands on which receiver chain is immaterial to every downstream
-  consumer, so mismatch is measured against the rotated basis U Q, which
-  the trace reports.
+  consumer, so mismatch is measured against the rotated basis U Q.
+
+The delta metrics of the trace and the stop rule are the formulas of
+:mod:`bounds`. A configured network is reported through
+:func:`calibrate_projection` of its column-solve projection, which
+concentrates c and Q again under the final-stage weighting; the optimizer's
+own (c, Q) stay inside the descent.
 
 A restart stops as soon as the surface is good enough for estimation, at
 any objective evaluation of any stage (line-search points included). The
@@ -56,7 +61,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import matio
-from .bounds import mse_ratio_bound, noise_inflation
+from .bounds import mse_ratio_bound, noise_inflation, relative_mismatch, subspace_mismatch
 from .errors import ConditioningError, ConfigurationError, OptimizationError
 from .multiport import SimNetwork, load_reactance_slope
 
@@ -97,9 +102,8 @@ class OptimizationTrace:
 
     The objective column carries the weighted objective of the stage each
     row belongs to: it is non-increasing within a stage, but may jump where
-    the annealing schedule switches weights. ``rotation`` is the
-    concentrated unitary Q; the delta metrics are measured against the
-    rotated basis U Q, available through :meth:`rotated_basis`.
+    the annealing schedule switches weights. The delta metrics are measured
+    against the rotated basis U Q under each row's concentrated (c, Q).
     ``stopped_on_target`` is set when the stop rule ended the run.
     """
 
@@ -109,8 +113,6 @@ class OptimizationTrace:
     step: List[float] = field(default_factory=list)
     final_eta: Optional[np.ndarray] = None
     converged: bool = False
-    scale: complex = 1.0 + 0.0j
-    rotation: Optional[np.ndarray] = None
     stage_bounds: List[int] = field(default_factory=list)
     stopped_on_target: bool = False
 
@@ -123,12 +125,6 @@ class OptimizationTrace:
         self.delta_u.append(float(delta_u))
         self.delta_rel.append(float(delta_rel))
         self.step.append(float(step))
-
-    def rotated_basis(self, u: np.ndarray) -> np.ndarray:
-        """The basis U Q the surface was matched against."""
-        if self.rotation is None:
-            return np.asarray(u)
-        return np.asarray(u) @ self.rotation
 
     def to_csv(self, path: str | Path) -> None:
         rows = [
@@ -151,7 +147,6 @@ class _EvalState:
     objective: float
     v: np.ndarray
     scale: complex
-    rotation_h: np.ndarray  # Q^H, identity when rotation is off
     target_eff: np.ndarray  # (U Q)^H
     delta: np.ndarray  # c V - (U Q)^H
     u: np.ndarray
@@ -159,11 +154,11 @@ class _EvalState:
 
     @cached_property
     def delta_u(self) -> float:
-        return _delta_u(self.delta, self.u)
+        return subspace_mismatch(self.delta, self.u)
 
     @cached_property
     def delta_rel(self) -> float:
-        return _delta_rel(self.delta, self.u)
+        return relative_mismatch(self.delta, self.u)
 
 
 def _weight_matrix(u: np.ndarray, w_perp: float) -> Optional[np.ndarray]:
@@ -212,15 +207,6 @@ def _concentrate(
     return _gain(v, y, w2), q_h
 
 
-def _delta_u(delta: np.ndarray, u: np.ndarray) -> float:
-    """||Delta U||_2, the largest singular value."""
-    return float(np.linalg.svd(delta @ u, compute_uv=False)[0])
-
-
-def _delta_rel(delta: np.ndarray, u: np.ndarray) -> float:
-    return float(np.linalg.norm(delta, "fro") / np.sqrt(u.shape[1]))
-
-
 def _mismatch(
     v: np.ndarray,
     u: np.ndarray,
@@ -247,14 +233,14 @@ def _evaluate(
 ) -> _EvalState:
     b = net.solve(net.c_out.T)  # adjoint pass, M columns
     v = b[net.input_port_indices(), :].T
-    c, q_h, y, delta = _mismatch(v, u, w2, with_scale, with_rotation)
+    c, _, y, delta = _mismatch(v, u, w2, with_scale, with_rotation)
     if w2 is None:
         obj = float(np.linalg.norm(delta, "fro") ** 2)
     else:
         obj = float(np.real(np.trace(w2 @ delta.conj().T @ delta)))
     if not np.isfinite(obj):
         raise OptimizationError("objective is not finite")
-    return _EvalState(obj, v, c, q_h, y, delta, u, b)
+    return _EvalState(obj, v, c, y, delta, u, b)
 
 
 def _gradient_from_state(
@@ -355,7 +341,7 @@ def _final_delta_u(
     if w2 is final_w2:
         return state.delta_u
     c = _gain(state.v, state.target_eff, final_w2)
-    return _delta_u(c * state.v - state.target_eff, u)
+    return subspace_mismatch(c * state.v - state.target_eff, u)
 
 
 def _meets_target(
@@ -471,8 +457,6 @@ def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> Optim
         trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
 
     trace.converged = state.delta_u <= cfg.target_delta_u
-    trace.scale = state.scale
-    trace.rotation = state.rotation_h.conj().T
     trace.final_eta = net.eta
     return trace
 
@@ -482,16 +466,13 @@ class CalibratedProjection:
     """A physical projection paired with its calibration against a subspace.
 
     ``v_scaled`` = c * V and ``u_basis`` = U Q, where the gain c and unitary
-    rotation Q concentrate the ensemble-weighted mismatch; the delta metrics
-    are measured between the two (the same convention the optimizer reports).
+    rotation Q concentrate the ensemble-weighted mismatch; its metrics are
+    ``bounds.mismatch_metrics(v_scaled, u_basis)``.
     """
 
     v_scaled: np.ndarray
     u_basis: np.ndarray
     scale: complex
-    rotation: np.ndarray
-    delta_u: float
-    delta_rel: float
 
 
 def calibrate_projection(
@@ -503,21 +484,13 @@ def calibrate_projection(
 ) -> CalibratedProjection:
     """Concentrate the gain and output rotation of a raw projection.
 
-    ``w_perp`` is the complement weight of the training ensemble (use the
-    last entry of the optimizer's annealing schedule for consistency with
-    reported traces)."""
+    ``w_perp`` is the complement weight of the training ensemble; a
+    configured network is calibrated at the last entry of the optimizer's
+    annealing schedule, the weighting its stop rule measures under."""
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    w2 = _weight_matrix(u, w_perp)
-    c, q_h, _, delta = _mismatch(v, u, w2, with_scale, with_rotation)
-    return CalibratedProjection(
-        v_scaled=c * v,
-        u_basis=u @ q_h.conj().T,
-        scale=c,
-        rotation=q_h.conj().T,
-        delta_u=_delta_u(delta, u),
-        delta_rel=_delta_rel(delta, u),
-    )
+    c, q_h, _, _ = _mismatch(v, u, _weight_matrix(u, w_perp), with_scale, with_rotation)
+    return CalibratedProjection(v_scaled=c * v, u_basis=u @ q_h.conj().T, scale=c)
 
 
 def optimize_multistart(

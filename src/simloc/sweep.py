@@ -24,7 +24,14 @@ Metrics per estimator tag:
   ``localizer``), so ``rmse_m`` is not capped by the region size.
 
 Mismatch diagnostics (``delta_u``, ``delta_rel``, ``row_gap``) are emitted
-once per cell for the surface projection.
+once per cell for the surface projection, an optimized one or one from given
+phases alike: :func:`calibrated_surface` calibrates the network's
+projection and ``bounds.mismatch_metrics`` measures it.
+
+The per-point steps the CLI shares with the sweep live here too:
+:func:`point_model` (geometry, covariance and rank-L model at a region and
+seed), :func:`calibrated_surface` and :func:`position_bound` (the PEB at
+the region centre for an estimator's white-equivalent residual).
 """
 
 from __future__ import annotations
@@ -115,6 +122,40 @@ def _cell_seed(master: int, *parts: int) -> int:
     return int(np.random.SeedSequence([master, *parts]).generate_state(1)[0])
 
 
+def point_model(cfg: ScenarioConfig, region, seed: int):
+    """Surface and receiver geometry, the channel covariance over ``region``
+    drawn from ``seed``, and its rank-L model: ``(surface, receiver, cov, U,
+    cov_l)``."""
+    sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
+    cov = estimate_covariance(
+        sim_geom,
+        region,
+        cfg.gain,
+        n_samples=cfg.covariance.samples,
+        rng_seed=seed,
+        rank_threshold=cfg.covariance.rank_threshold,
+    )
+    u, cov_l = reduced_model(cov, cfg.outputs)
+    return sim_geom, rx_geom, cov, u, cov_l
+
+
+def calibrated_surface(cfg: ScenarioConfig, net, u: np.ndarray):
+    """The ``CalibratedProjection`` (c V, U Q) of a configured network: its
+    column-solve projection calibrated under the optimizer's final
+    complement weight."""
+    return calibrate_projection(
+        effective_projection_matrix(net), u, w_perp=cfg.optimizer.complement_weights[-1]
+    )
+
+
+def position_bound(geometry, region, cfg: ScenarioConfig, est):
+    """The position error bound at the region centre for the white-equivalent
+    residual of ``est``, its exact MSE over K: ``(sigma_n2, report)``."""
+    sigma_n2 = est.exact_mse() / est.cov.dim
+    x, y = region.center
+    return sigma_n2, fim_peb(geometry, np.array([x, y, cfg.gain.mean_gain, 0.0]), sigma_n2)
+
+
 def _localizer_rmse(
     geometry,
     region,
@@ -153,18 +194,10 @@ def run_cell(
     with_localizer: bool = True,
 ) -> List[ResultRecord]:
     """Evaluate one (distance, bearing) cell across the configured SNRs."""
-    sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
     region = region_at(distance, bearing, cfg.region.diameter_m)
-    cov = estimate_covariance(
-        sim_geom,
-        region,
-        cfg.gain,
-        n_samples=cfg.covariance.samples,
-        rng_seed=_cell_seed(cfg.covariance.seed, cell_index),
-        rank_threshold=cfg.covariance.rank_threshold,
+    sim_geom, rx_geom, cov, u, cov_l = point_model(
+        cfg, region, _cell_seed(cfg.covariance.seed, cell_index)
     )
-    u, cov_l = reduced_model(cov, cfg.outputs)
-    k = cov.dim
     l = cfg.outputs
 
     records: List[ResultRecord] = []
@@ -188,31 +221,26 @@ def run_cell(
     emit("covariance", math.nan, "captured_energy", cov.captured_energy(l))
     emit("covariance", math.nan, "truncation_power", cov.truncation_power(l))
 
-    # surface configuration for this cell: the calibrated (V, U Q), if any
+    # surface configuration for this cell: the calibrated (c V, U Q), if any
     surface = None
+    trace = None
     if cfg.sweep.sim == "optimize":
         net = build_network(cfg, sim_geom, rx_geom)
         ocfg = cfg.optimizer
         ocfg = replace(ocfg, rng_seed=_cell_seed(ocfg.rng_seed, cell_index, 1), trace_every=0)
         trace = optimize_multistart(net, u.conj().T, ocfg, restarts=cfg.optimizer_restarts)
-        v_s = trace.scale * effective_projection_matrix(net)
-        u_basis = trace.rotated_basis(u)
-        m = mismatch_metrics(v_s, u_basis)
-        emit("sim", math.nan, "delta_u", m.delta_u)
-        emit("sim", math.nan, "delta_rel", m.delta_rel)
-        emit("sim", math.nan, "row_gap", row_orthonormality_gap(v_s))
-        emit("sim", math.nan, "converged", 1.0 if trace.converged else 0.0)
-        surface = (v_s, u_basis)
     elif cfg.sweep.sim == "eta":
         if eta is None:
             raise ConfigurationError("sweep.sim = 'eta' requires a phase vector")
         net = build_network(cfg, sim_geom, rx_geom, eta=eta)
-        cal = calibrate_projection(
-            effective_projection_matrix(net), u, w_perp=cfg.optimizer.complement_weights[-1]
-        )
-        emit("sim", math.nan, "delta_u", cal.delta_u)
-        emit("sim", math.nan, "delta_rel", cal.delta_rel)
+    if cfg.sweep.sim != "none":
+        cal = calibrated_surface(cfg, net, u)
+        m = mismatch_metrics(cal.v_scaled, cal.u_basis)
+        emit("sim", math.nan, "delta_u", m.delta_u)
+        emit("sim", math.nan, "delta_rel", m.delta_rel)
         emit("sim", math.nan, "row_gap", row_orthonormality_gap(cal.v_scaled))
+        if trace is not None:
+            emit("sim", math.nan, "converged", 1.0 if trace.converged else 0.0)
         surface = (cal.v_scaled, cal.u_basis)
 
     snrs = cfg.sweep.snr_db if cfg.sweep.snr_db is not None else cfg.snr_db
@@ -220,25 +248,16 @@ def run_cell(
     for snr in snrs:
         sigma_z2 = cfg.noise_variance(snr)
         suite = estimator_suite(cov, u, cov_l, sigma_z2, surface)
-        peb_noise: Dict[str, float] = {}
         for idx, (tag, est) in enumerate(suite.items()):
             emit(tag, snr, "mse_analytic", est.analytic_mse)
-            exact = est.exact_mse()
-            emit(tag, snr, "mse_exact", exact)
+            emit(tag, snr, "mse_exact", est.exact_mse())
             seed = _cell_seed(cfg.sweep.seed, cell_index, 2, idx, int(round(snr * 1000)))
             mse, stderr = monte_carlo_mse(est, trials=trials, rng_seed=seed)
             emit(tag, snr, "mse_empirical", mse, stderr, "monte-carlo")
-            peb_noise[tag] = exact / k
 
         # position bounds at the white-equivalent residual of the MMSE branch
-        center = np.array(region.center)
         for tag in ("mmse-ideal" if surface is None else "mmse-sim", "digital-baseline"):
-            sigma_n2 = peb_noise[tag]
-            rep = fim_peb(
-                sim_geom,
-                np.array([center[0], center[1], cfg.gain.mean_gain, 0.0]),
-                sigma_n2,
-            )
+            sigma_n2, rep = position_bound(sim_geom, region, cfg, suite[tag])
             emit(tag, snr, "peb_m", rep.peb)
             emit(tag, snr, "peb_condition_flag", 1.0 if rep.condition_flag else 0.0)
             if with_localizer:

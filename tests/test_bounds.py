@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simloc.bounds import (
     channel_jacobian,
@@ -7,6 +9,8 @@ from simloc.bounds import (
     mismatch_metrics,
     mse_ratio_check,
     reduced_gram,
+    relative_mismatch,
+    subspace_mismatch,
 )
 from simloc.errors import ConfigurationError
 from simloc.geometry import GeometryConfig, build_sim_geometry
@@ -90,6 +94,33 @@ class TestMismatchMetrics:
         delta = random_delta(10, 2, 0.2, u, rng)
         m = mismatch_metrics(u.conj().T + delta, u)
         assert m.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(2), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 24),
+        l=st.integers(1, 8),
+        log_scale=st.floats(-8.0, 2.0),
+    )
+    def test_residual_metrics_equal_the_former_formulas(self, seed, k, l, log_scale):
+        # bit for bit the formulas the optimizer and mismatch_metrics each
+        # held before the two were merged: an SVD's largest value, and
+        # np.linalg.norm(., 2) for mismatch_metrics' delta_U
+        l = min(l, k)
+        u = random_subspace(k, l, seed)
+        rng = np.random.default_rng(seed + 1)
+        v = u.conj().T + 10.0**log_scale * (
+            rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
+        )
+        delta = v - u.conj().T
+        svd_delta_u = float(np.linalg.svd(delta @ u, compute_uv=False)[0])
+        norm_delta_u = float(np.linalg.norm(delta @ u, 2))
+        delta_rel = float(np.linalg.norm(delta, "fro") / np.sqrt(u.shape[1]))
+        assert subspace_mismatch(delta, u) == svd_delta_u
+        assert relative_mismatch(delta, u) == delta_rel
+        m = mismatch_metrics(v, u)
+        assert m.delta_u == norm_delta_u
+        assert m.delta_rel == delta_rel
 
 
 class TestMseRatioCheck:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simloc.channel import (
+    _COV_CHUNK,
+    _canonical_eigh,
     covariance_from_matrix,
     element_distances,
     estimate_covariance,
@@ -135,6 +137,45 @@ class TestSteeringMatrix:
 
 
 class TestCovariance:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 12),
+        n_samples=st.integers(1, 9000),
+        shadowing_db=st.floats(0.0, 6.0),
+        log_threshold=st.floats(-12.0, -1.0),
+    )
+    def test_model_equals_inline_construction(
+        self, seed, k, n_samples, shadowing_db, log_threshold
+    ):
+        # bit for bit the eigendecomposition, rank rule and model the
+        # estimator once built itself, before it ended on covariance_from_matrix
+        geom = line_geometry(k)
+        region = UncertaintyRegion(center=(0.5, 0.1), diameter=0.3)
+        gains = GainModel(shadowing_db)
+        threshold = 10.0**log_threshold
+        cov = estimate_covariance(
+            geom, region, gains, n_samples=n_samples, rng_seed=seed, rank_threshold=threshold
+        )
+
+        points = region.sample(n_samples, np.random.default_rng(seed))
+        acc = np.zeros((k, k), dtype=complex)
+        for start in range(0, n_samples, _COV_CHUNK):
+            a = steering_matrix(geom, points[start : start + _COV_CHUNK])
+            acc += a @ a.conj().T
+        r = gains.mean_square_gain * acc / n_samples
+        r = 0.5 * (r + r.conj().T)
+        vals, vecs = _canonical_eigh(r)
+        rank = max(int(np.count_nonzero(vals > threshold * float(vals[0]))), 1)
+
+        np.testing.assert_array_equal(cov.r_h, r)
+        np.testing.assert_array_equal(cov.eigenvalues, vals)
+        np.testing.assert_array_equal(cov.eigenvectors, vecs)
+        assert cov.rank == rank
+        np.testing.assert_array_equal(cov.u, vecs[:, :rank])
+        np.testing.assert_array_equal(cov.d, vals[:rank])
+        assert (cov.mc_samples, cov.rank_threshold) == (n_samples, threshold)
+
     def test_degenerate_region_rank_one(self):
         geom = line_geometry(8)
         region = UncertaintyRegion(center=(0.6, 0.0), diameter=0.0)

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,15 @@ class TestParseConfig:
             doc.setdefault(block, {})[key] = 4
             with pytest.raises(ConfigurationError, match=f"{block}.{key}"):
                 parse_config(doc)
+
+    def test_target_delta_u_has_one_source(self):
+        # the scenario reads the optimizer's target, so replacing it there
+        # leaves no stale copy behind
+        cfg = parse_config(minimal_doc())
+        cfg = replace(cfg, optimizer=replace(cfg.optimizer, target_delta_u=0.05))
+        assert cfg.target_delta_u == 0.05
+        with pytest.raises(TypeError):
+            replace(cfg, target_delta_u=0.2)
 
     def test_underscore_keys_ignored(self):
         doc = minimal_doc()

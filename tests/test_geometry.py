@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simloc.errors import ConfigurationError
 from simloc.geometry import (
@@ -8,6 +10,7 @@ from simloc.geometry import (
     UncertaintyRegion,
     build_sim_geometry,
     fraunhofer_distance,
+    pairwise_distances,
     region_at,
 )
 
@@ -18,6 +21,23 @@ def brute_force_aperture(points):
         for j in range(i + 1, len(points)):
             best = max(best, float(np.linalg.norm(points[i] - points[j])))
     return best
+
+
+class TestPairwiseDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 40),
+        n_b=st.integers(1, 40),
+        log_scale=st.floats(-4.0, 3.0),
+    )
+    def test_equals_broadcast_formula(self, seed, n_a, n_b, log_scale):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n_a, 3)) * 10.0**log_scale
+        b = rng.standard_normal((n_b, 3)) * 10.0**log_scale + rng.standard_normal(3)
+        diff = a[:, None, :] - b[None, :, :]
+        expected = np.sqrt((diff**2).sum(axis=2))
+        np.testing.assert_array_equal(pairwise_distances(a, b), expected)
 
 
 class TestBuildGeometry:
@@ -55,8 +75,9 @@ class TestBuildGeometry:
         first = sim.first_layer_positions
         np.testing.assert_allclose(first[:, 0], 0.0, atol=1e-15)
         np.testing.assert_allclose(first.mean(axis=0), 0.0, atol=1e-12)
+        k = sim.elements_per_layer
         for q in range(1, 3):
-            layer = sim.layer_positions(q)
+            layer = sim.positions[q * k : (q + 1) * k]
             np.testing.assert_allclose(layer[:, 0], q * sim.layer_spacing, rtol=1e-12)
             np.testing.assert_allclose(layer[:, 1:], first[:, 1:], atol=1e-15)
 
@@ -227,10 +248,3 @@ class TestGainModel:
         g = gm.draw_gains(100_000, rng)
         db = 20 * np.log10(g)
         assert np.std(db) == pytest.approx(3.0, rel=0.02)
-
-    def test_phases_uniform(self):
-        gm = GainModel()
-        rng = np.random.default_rng(1)
-        th = gm.draw_phases(50_000, rng)
-        assert th.min() >= 0 and th.max() < 2 * np.pi
-        assert th.mean() == pytest.approx(np.pi, rel=0.02)

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simloc.bounds import mismatch_metrics
 from simloc.errors import ConditioningError, ConfigurationError
 from simloc.geometry import GeometryConfig, build_sim_geometry
 from simloc.multiport import (
     ImpedanceParams,
     SimNetwork,
     build_impedance,
+    build_output_coupling,
     build_sim_network,
     effective_projection_matrix,
     effective_projection_rowsolve,
     mutual_coupling,
     port_index,
+    port_positions,
     row_orthonormality_gap,
     wrap_phase,
 )
@@ -72,6 +75,42 @@ class TestBuildImpedance:
         z = build_impedance(sim, ImpedanceParams())
         np.testing.assert_allclose(z, z.T, rtol=1e-12)
         assert np.all(np.real(np.diag(z)) > 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k_y=st.integers(1, 9),
+        k_z=st.integers(1, 3),
+        layers=st.integers(1, 4),
+        m=st.integers(1, 5),
+        offset=st.floats(0.05, 0.45),
+        freq_ghz=st.floats(1.0, 100.0),
+    )
+    def test_equals_broadcast_assembly(self, k_y, k_z, layers, m, offset, freq_ghz):
+        # bit for bit the (n, n, 3) broadcast and per-cell loop Z_ss and
+        # C_out were once assembled with
+        cfg = GeometryConfig(
+            k_y=k_y, k_z=k_z, layers=layers, carrier_frequency_hz=freq_ghz * 1e9,
+            receiver_elements=m,
+        )
+        sim, rx = build_sim_geometry(cfg)
+        params = ImpedanceParams(port_offset_wavelengths=offset, gamma=7.0 - 2.0j)
+        ppos = port_positions(sim, params)
+        diff = ppos[:, None, :] - ppos[None, :, :]
+        d = np.sqrt((diff**2).sum(axis=2))
+        np.fill_diagonal(d, 1.0)
+        expected = mutual_coupling(d, params.beta, sim.wavelength)
+        for c in range(len(ppos) // 2):
+            i, o = 2 * c, 2 * c + 1
+            expected[i, i] = expected[o, o] = params.z_self
+            expected[i, o] = expected[o, i] = params.gamma
+        np.testing.assert_array_equal(build_impedance(sim, params), expected)
+
+        k = sim.elements_per_layer
+        out_ports = [port_index(layers - 1, e, "out", k) for e in range(k)]
+        diff = rx.positions[:, None, :] - ppos[None, out_ports, :]
+        coupling = mutual_coupling(np.sqrt((diff**2).sum(axis=2)), params.beta, sim.wavelength)
+        c_out = build_output_coupling(rx, sim, params)
+        np.testing.assert_array_equal(c_out[:, out_ports], coupling)
 
     def test_mutual_decay_halves_at_double_distance(self):
         lam = 0.0107
@@ -244,10 +283,10 @@ class TestEffectiveProjection:
         rng = np.random.default_rng(0)
         u, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
         cal = calibrate_projection(v, u, w_perp=1.0, with_rotation=False)
-        c = cal.scale
-        delta = c * v - u.conj().T
-        assert cal.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(2), rel=1e-12)
-        assert cal.delta_u == pytest.approx(np.linalg.norm(delta @ u, 2), rel=1e-12)
+        m = mismatch_metrics(cal.v_scaled, cal.u_basis)
+        delta = cal.scale * v - u.conj().T
+        assert m.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(2), rel=1e-12)
+        assert m.delta_u == pytest.approx(np.linalg.norm(delta @ u, 2), rel=1e-12)
 
     def test_concentrated_scale_minimizes(self):
         rng = np.random.default_rng(1)

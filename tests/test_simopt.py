@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simloc import multiport
-from simloc.bounds import mse_ratio_bound, noise_inflation
+from simloc.bounds import mismatch_metrics, mse_ratio_bound, noise_inflation, subspace_mismatch
 from simloc.channel import estimate_covariance, reduce_subspace
 from simloc.estimation import rsls_post_sim
 from simloc.geometry import GainModel, GeometryConfig, build_sim_geometry, region_at
@@ -19,7 +19,6 @@ from simloc.multiport import (
 from simloc.simopt import (
     OptimizerConfig,
     _concentrate,
-    _delta_u,
     _EvalState,
     _evaluate,
     _final_delta_u,
@@ -253,14 +252,18 @@ class TestOptimize:
 
     def test_rotated_basis_consistency(self):
         net, u = desk_setup()
-        trace = optimize(net, u.conj().T, OptimizerConfig(rng_seed=0))
-        u_rot = trace.rotated_basis(u)
+        cfg = OptimizerConfig(rng_seed=0)
+        trace = optimize(net, u.conj().T, cfg)
+        cal = calibrate_projection(
+            effective_projection_matrix(net), u, w_perp=cfg.complement_weights[-1]
+        )
+        u_rot = cal.u_basis
         # rotated basis stays orthonormal and spans the same subspace
         np.testing.assert_allclose(u_rot.conj().T @ u_rot, np.eye(u.shape[1]), atol=1e-10)
         proj = u @ u.conj().T
         np.testing.assert_allclose(proj @ u_rot, u_rot, atol=1e-10)
         # the scaled projection matches the rotated target at the reported mismatch
-        v = trace.scale * effective_projection_matrix(net)
+        v = cal.v_scaled
         delta_u = np.linalg.norm((v - u_rot.conj().T) @ u_rot, 2)
         assert delta_u == pytest.approx(trace.delta_u[-1], rel=1e-6, abs=1e-9)
 
@@ -280,16 +283,18 @@ class TestTraceInvariants:
                 assert np.all(np.diff(obj) <= 1e-12)
 
     def test_projection_metrics_equal_bounds_definitions(self):
-        from simloc.bounds import mismatch_metrics
-
+        # the metrics of the calibrated pair (c V, U Q) are those of the
+        # optimizer's residual Delta = c V - Q^H U^H in the unrotated basis
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
         net.set_eta(np.random.default_rng(8).uniform(-3, 3, net.n_cells))
         v = effective_projection_matrix(net)
         for kwargs in ({"w_perp": 1.0, "with_rotation": False}, {}):
             cal = calibrate_projection(v, u, **kwargs)
             m = mismatch_metrics(cal.v_scaled, cal.u_basis)
-            assert m.delta_u == pytest.approx(cal.delta_u, rel=1e-12)
-            assert m.delta_rel == pytest.approx(cal.delta_rel, rel=1e-12)
+            q_h = cal.u_basis.conj().T @ u
+            delta = cal.v_scaled - q_h @ u.conj().T
+            assert m.delta_u == pytest.approx(np.linalg.norm(delta @ u, 2), rel=1e-12)
+            assert m.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(3), rel=1e-12)
 
 
 def _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation):
@@ -375,8 +380,8 @@ class TestNoiseInflation:
 
 def _state_at(v, u, w2):
     """The evaluation state the optimizer holds for V at stage weight W^2."""
-    c, q_h, y, delta = _mismatch(v, u, w2, True, True)
-    return _EvalState(0.0, v, c, q_h, y, delta, u, None)
+    c, _, y, delta = _mismatch(v, u, w2, True, True)
+    return _EvalState(0.0, v, c, y, delta, u, None)
 
 
 class TestStopRule:
@@ -393,7 +398,8 @@ class TestStopRule:
         leak = comp.conj().T * (np.sqrt(0.5 * l) / np.linalg.norm(comp))
         v = u.conj().T + leak
         final_w2 = _weight_matrix(u, 0.2)
-        assert calibrate_projection(v, u, w_perp=0.2).delta_u <= tau
+        cal = calibrate_projection(v, u, w_perp=0.2)
+        assert mismatch_metrics(cal.v_scaled, cal.u_basis).delta_u <= tau
         assert noise_inflation(v, u) == pytest.approx(1.5, rel=1e-12)
         assert not _meets_target(_state_at(v, u, None), u, None, final_w2, tau)
         assert _meets_target(_state_at(u.conj().T, u, None), u, None, final_w2, tau)
@@ -415,6 +421,6 @@ class TestStopRule:
         v = b[:k, :].T
         stage_w2 = [_weight_matrix(u, w_perp) for w_perp in schedule]
         final_w2 = stage_w2[-1]
-        expected = _delta_u(_mismatch(v, u, final_w2, True, True)[3], u)
+        expected = subspace_mismatch(_mismatch(v, u, final_w2, True, True)[3], u)
         for w2 in stage_w2:
             assert _final_delta_u(_state_at(v, u, w2), u, w2, final_w2) == expected

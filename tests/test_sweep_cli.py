@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simloc.bounds import mse_ratio_bound, noise_inflation
+from simloc.bounds import mismatch_metrics, mse_ratio_bound, noise_inflation
 from simloc.channel import estimate_covariance, reduce_subspace, steering_vector
 from simloc.cli import EXIT_NUMERICAL, main
 from simloc.config import load_config, parse_config
@@ -20,7 +20,12 @@ from simloc.matio import (
     save_complex_matrix,
     save_real_vector,
 )
-from simloc.multiport import build_impedance, build_sim_network, effective_projection_matrix
+from simloc.multiport import (
+    build_impedance,
+    build_sim_network,
+    effective_projection_matrix,
+    row_orthonormality_gap,
+)
 from simloc.simopt import calibrate_projection
 from simloc.sweep import (
     RECORD_HEADER,
@@ -159,11 +164,39 @@ class TestRunCell:
         def mismatch(z_ss):
             net = build_sim_network(sim_geom, rx_geom, cfg.impedance, z_ss=z_ss, eta=eta)
             v = effective_projection_matrix(net)
-            w_perp = cfg.optimizer.complement_weights[-1]
-            return calibrate_projection(v, u, w_perp=w_perp).delta_u
+            cal = calibrate_projection(v, u, w_perp=cfg.optimizer.complement_weights[-1])
+            return mismatch_metrics(cal.v_scaled, cal.u_basis).delta_u
 
         assert delta_u == mismatch(load_complex_matrix(z_path))
         assert delta_u != pytest.approx(mismatch(None), rel=1e-3)
+
+
+    def test_eta_cell_metrics_are_those_of_the_calibrated_projection(self):
+        cfg = tiny_scenario(sweep={"sim": "eta"})
+        sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
+        eta = np.random.default_rng(21).uniform(-np.pi, np.pi, sim_geom.total_elements)
+        records = run_cell(cfg, 0.25, 0.0, 0, eta=eta, with_localizer=False)
+        got = {r.metric: r.value for r in records if r.tag == "sim"}
+
+        cov = estimate_covariance(
+            sim_geom,
+            region_at(0.25, 0.0, cfg.region.diameter_m),
+            cfg.gain,
+            n_samples=cfg.covariance.samples,
+            rng_seed=_cell_seed(cfg.covariance.seed, 0),
+            rank_threshold=cfg.covariance.rank_threshold,
+        )
+        u, _ = reduce_subspace(cov, l_fixed=cfg.outputs)
+        net = build_sim_network(sim_geom, rx_geom, cfg.impedance, eta=eta)
+        cal = calibrate_projection(
+            effective_projection_matrix(net), u, w_perp=cfg.optimizer.complement_weights[-1]
+        )
+        m = mismatch_metrics(cal.v_scaled, cal.u_basis)
+        assert got == {
+            "delta_u": m.delta_u,
+            "delta_rel": m.delta_rel,
+            "row_gap": row_orthonormality_gap(cal.v_scaled),
+        }
 
 
 class TestLocalizerRmse:
@@ -289,6 +322,33 @@ class TestCli:
             "reduction": {"outputs": 3},
             block: {key: value},
         }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{block}.{key}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("geometry", "receiver_elements", 7),
+            ("sweep", "distances_m", []),
+            ("sweep", "bearings_rad", []),
+            ("sweep", "snr_db", []),
+        ],
+        ids=["receiver-elements", "no-distances", "no-bearings", "no-sweep-snrs"],
+    )
+    def test_ignored_or_empty_setting_is_config_error(self, tmp_path, capsys, block, key, value):
+        # the receiver count is reduction.outputs; an empty sweep axis
+        # would run an empty or partial sweep
+        doc = {
+            "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+            "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+            "reduction": {"outputs": 3},
+            "sweep": {"trials": 100},
+        }
+        doc[block][key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
@@ -522,6 +582,29 @@ class TestCliPipelines:
         assert eta.shape == (16,)
         v = load_complex_matrix(opt_out / "projection.cmat")
         assert v.shape == (3, 8)
+
+    def test_optimize_report_mismatch_equals_bounds_eta(self, tmp_path):
+        # optimize-sim reports its surface the way bounds --eta measures the
+        # saved phases: one calibration, one set of metrics, bit for bit
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+                    "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+                    "reduction": {"outputs": 3, "target_delta_u": 0.1},
+                    "covariance": {"samples": 500, "seed": 5},
+                    "optimizer": {"max_iters": 1000, "restarts": 2, "seed": 0},
+                }
+            )
+        )
+        common = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert main(["optimize-sim", *common]) == 0
+        assert main(["bounds", *common, "--eta", str(tmp_path / "eta.rvec")]) == 0
+        optimized = json.loads((tmp_path / "optimize_report.json").read_text())
+        measured = json.loads((tmp_path / "bounds_report.json").read_text())["mismatch"]
+        for key in ("delta_u", "delta_rel", "row_orthonormality_gap"):
+            assert optimized[key] == measured[key], key
 
     def test_paper_preset_covariance_rank_report(self, tmp_path):
         out = tmp_path / "paper"
