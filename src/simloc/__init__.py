@@ -52,7 +52,6 @@ from .estimation import (
     mmse_post_sim,
     mmse_reduced,
     monte_carlo_mse,
-    reduced_model,
     rsls_ideal,
     rsls_post_sim,
 )

@@ -6,10 +6,11 @@ saved subspace), ``estimate`` (single-scenario estimator reports),
 ``bounds`` (mismatch metrics and position error bound), ``sweep`` (the
 full grid), and ``plot-data`` (per-figure tidy tables).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical conditioning
-error, 4 optimizer non-convergence, 5 optimizer or estimator failure (a
-non-finite objective, a target without orthonormal rows, a rank-deficient
-estimator or an all-zero or non-finite estimate).
+Exit codes: 0 success, 2 configuration error (including a missing or
+malformed input file), 3 numerical conditioning error, 4 optimizer
+non-convergence, 5 optimizer or estimator failure (a non-finite objective,
+a target without orthonormal rows, a rank-deficient estimator or an
+all-zero or non-finite estimate).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bounds import mismatch_metrics, mse_ratio_check, noise_inflation
 from .config import PRESETS, ScenarioConfig, load_config, load_preset
 from .errors import ConditioningError, ConfigurationError, EstimationError, OptimizationError
 from .estimation import estimator_suite, monte_carlo_mse
-from .geometry import fraunhofer_distance
+from .geometry import build_sim_geometry, fraunhofer_distance
 from .multiport import build_network, row_orthonormality_gap
 from .simopt import calibrate_projection, optimize_multistart
 from .sweep import (
@@ -103,14 +104,16 @@ def cmd_covariance(args) -> int:
 def cmd_optimize_sim(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    sim_geom, rx_geom, _, u, _ = _point_model(cfg)
     if args.subspace:
+        sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
         u = matio.load_complex_matrix(args.subspace)
         if u.shape != (sim_geom.elements_per_layer, cfg.outputs):
             raise ConfigurationError(
                 f"subspace file has shape {u.shape}, expected "
                 f"({sim_geom.elements_per_layer}, {cfg.outputs})"
             )
+    else:
+        sim_geom, rx_geom, _, u, _ = _point_model(cfg)
 
     net = build_network(cfg, sim_geom, rx_geom)
     trace = optimize_multistart(net, u.conj().T, cfg.optimizer, restarts=cfg.optimizer_restarts)
@@ -168,12 +171,12 @@ def _surface_projection(args, cfg, sim_geom, rx_geom, u):
 def cmd_estimate(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    sim_geom, rx_geom, cov, u, cov_l = _point_model(cfg)
+    sim_geom, rx_geom, cov, u, d = _point_model(cfg)
     surface = _surface_projection(args, cfg, sim_geom, rx_geom, u)
 
     results = []
     for snr in cfg.snr_db:
-        suite = estimator_suite(cov, u, cov_l, cfg.noise_variance(snr), surface)
+        suite = estimator_suite(cov, u, d, cfg.noise_variance(snr), surface)
         for tag, est in suite.items():
             mse, stderr = monte_carlo_mse(est, trials=cfg.sweep.trials, rng_seed=cfg.sweep.seed)
             results.append(
@@ -195,7 +198,7 @@ def cmd_estimate(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    sim_geom, rx_geom, cov, u, cov_l = _point_model(cfg)
+    sim_geom, rx_geom, cov, u, d = _point_model(cfg)
     surface = _surface_projection(args, cfg, sim_geom, rx_geom, u)
     region = cfg.region.build()
     report = {"region_center": list(region.center), "outputs": cfg.outputs}
@@ -221,7 +224,7 @@ def cmd_bounds(args) -> int:
 
     peb_rows = []
     for snr in cfg.snr_db:
-        suite = estimator_suite(cov, u, cov_l, cfg.noise_variance(snr), surface)
+        suite = estimator_suite(cov, u, d, cfg.noise_variance(snr), surface)
         mmse = suite["mmse-ideal" if surface is None else "mmse-sim"]
         sigma_n2, peb = position_bound(sim_geom, region, cfg, mmse)
         peb_rows.append(

@@ -8,8 +8,9 @@ and the identity for the fully digital baseline.
 
 Reduced estimators treat the channel model as confined to the retained
 subspace: their MSEs follow the posterior / least-squares algebra on the
-rank-L model U diag(D) U^H, and the prior power living outside those L
-modes is added by :func:`estimator_suite`. Monte Carlo evaluation draws
+rank-L model U diag(D) U^H, with (U, D) the L dominant eigenpairs from
+``reduce_subspace(cov, l_fixed=L)``, and the prior power living outside
+those L modes is added by :func:`estimator_suite`. Monte Carlo evaluation draws
 from the full-rank model, so empirical figures include the truncation
 penalty.
 
@@ -23,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .channel import CovarianceModel, covariance_from_matrix, reduce_subspace
+from .channel import CovarianceModel
 from .errors import ConfigurationError, EstimationError
 
 # Monte Carlo draws per block; fixes the order in which channels and
@@ -48,9 +49,9 @@ def mmse_full(cov: CovarianceModel, sigma_z2: float) -> Tuple[np.ndarray, float]
 digital_baseline = mmse_full
 
 
-def mmse_reduced(cov_l: CovarianceModel, sigma_z2: float) -> Tuple[np.ndarray, float]:
-    """MMSE from the sufficient statistic y = U^H r of the rank-L model."""
-    u, d = cov_l.u, cov_l.d
+def mmse_reduced(u: np.ndarray, d: np.ndarray, sigma_z2: float) -> Tuple[np.ndarray, float]:
+    """MMSE from the sufficient statistic y = U^H r of the rank-L model
+    U diag(d) U^H."""
     shrink = d / (d + sigma_z2)
     return u * shrink, float(np.sum(d * sigma_z2 / (d + sigma_z2)))
 
@@ -61,15 +62,15 @@ def rsls_ideal(u: np.ndarray, sigma_z2: float) -> Tuple[np.ndarray, float]:
 
 
 def mmse_post_sim(
-    v: np.ndarray, cov_l: CovarianceModel, sigma_z2: float
+    v: np.ndarray, u: np.ndarray, d: np.ndarray, sigma_z2: float
 ) -> Tuple[np.ndarray, float]:
     """MMSE from the projected observation y = V r.
 
-    Uses the rank-L channel model, so with V = U^H this reduces exactly to
-    :func:`mmse_reduced`.
+    Uses the rank-L channel model U diag(d) U^H, so with V = U^H this
+    reduces exactly to :func:`mmse_reduced`.
     """
     v = np.asarray(v, dtype=complex)
-    rh = cov_l.u @ np.diag(cov_l.d) @ cov_l.u.conj().T
+    rh = u @ np.diag(d) @ u.conj().T
     rv = rh @ v.conj().T
     inner = v @ rv + sigma_z2 * (v @ v.conj().T)
     cond = np.linalg.cond(inner)
@@ -106,16 +107,6 @@ def rsls_post_sim(v: np.ndarray, u: np.ndarray, sigma_z2: float) -> Tuple[np.nda
 # -- the compared suite ------------------------------------------------------
 
 
-def reduced_model(cov: CovarianceModel, l: int) -> Tuple[np.ndarray, CovarianceModel]:
-    """The L dominant eigenvectors U of ``cov`` and the rank-L model
-    U diag(D) U^H that the reduced estimators assume."""
-    u, d = reduce_subspace(cov, l_fixed=l)
-    cov_l = covariance_from_matrix(
-        u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12, mc_samples=cov.mc_samples
-    )
-    return u, cov_l
-
-
 @dataclass(frozen=True)
 class LinearEstimator:
     """One estimator of the suite, h_hat = W P (h + z), with the full
@@ -142,15 +133,16 @@ class LinearEstimator:
 def estimator_suite(
     cov: CovarianceModel,
     u: np.ndarray,
-    cov_l: CovarianceModel,
+    d: np.ndarray,
     sigma_z2: float,
     surface: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Dict[str, LinearEstimator]:
     """The compared estimators at one noise level, keyed by tag.
 
-    ``cov`` is the full covariance and ``(u, cov_l)`` its rank-L model from
-    :func:`reduced_model`. The suite holds ``mmse-ideal`` and ``rsls-ideal``
-    behind U^H and the ``digital-baseline``; a calibrated surface
+    ``cov`` is the full covariance and ``(u, d)`` its L dominant
+    eigenpairs, the rank-L model U diag(d) U^H. The suite holds
+    ``mmse-ideal`` and ``rsls-ideal`` behind U^H and the
+    ``digital-baseline``; a calibrated surface
     ``(v, u_basis)`` adds ``mmse-sim`` and ``rsls-sim`` behind V.
     """
     trunc = cov.truncation_power(u.shape[1])
@@ -161,7 +153,7 @@ def estimator_suite(
         return LinearEstimator(w, p, cov, sigma_z2, mse + truncation)
 
     suite = {
-        "mmse-ideal": entry(mmse_reduced(cov_l, sigma_z2), u_h, trunc),
+        "mmse-ideal": entry(mmse_reduced(u, d, sigma_z2), u_h, trunc),
         "rsls-ideal": entry(rsls_ideal(u, sigma_z2), u_h, trunc),
         "digital-baseline": entry(
             digital_baseline(cov, sigma_z2), np.eye(cov.dim, dtype=complex), 0.0
@@ -169,7 +161,7 @@ def estimator_suite(
     }
     if surface is not None:
         v, u_basis = surface
-        suite["mmse-sim"] = entry(mmse_post_sim(v, cov_l, sigma_z2), v, trunc)
+        suite["mmse-sim"] = entry(mmse_post_sim(v, u, d, sigma_z2), v, trunc)
         suite["rsls-sim"] = entry(rsls_post_sim(v, u_basis, sigma_z2), v, trunc)
     return suite
 

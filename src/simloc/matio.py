@@ -12,12 +12,14 @@ Real vector format (phase vectors, eigenvalues):
     <value>                       one per line
 
 Values are written with 17 significant digits so a save/load round trip is
-bit-exact for float64.
+bit-exact for float64. A file the loaders cannot open or parse raises
+:class:`ConfigurationError` naming its path.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Sequence
 
@@ -26,6 +28,16 @@ import numpy as np
 from .errors import ConfigurationError
 
 _FMT = "%.17g"
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """Turn an unreadable file or an unparsable value into a configuration
+    error that names the file."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: cannot read ({exc})") from exc
 
 
 def save_complex_matrix(path: str | Path, m: np.ndarray) -> None:
@@ -42,7 +54,7 @@ def save_complex_matrix(path: str | Path, m: np.ndarray) -> None:
 
 
 def load_complex_matrix(path: str | Path) -> np.ndarray:
-    with open(path) as fh:
+    with _reading(path), open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[:2] != ["#", "cmatrix"]:
             raise ConfigurationError(f"{path}: not a cmatrix file")
@@ -65,7 +77,7 @@ def save_real_vector(path: str | Path, v: np.ndarray) -> None:
 
 
 def load_real_vector(path: str | Path) -> np.ndarray:
-    with open(path) as fh:
+    with _reading(path), open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[:2] != ["#", "rvector"]:
             raise ConfigurationError(f"{path}: not an rvector file")
@@ -82,7 +94,7 @@ def save_csv(path: str | Path, header: Sequence[str], rows: List[Sequence]) -> N
 
 
 def load_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
+    with _reading(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows:

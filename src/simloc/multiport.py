@@ -41,6 +41,7 @@ DEFAULT_BETA = 60.0  # mutual coupling amplitude, ohms
 DEFAULT_GAMMA = 20.0  # intra-cell input/output coupling, ohms
 DEFAULT_X0 = 50.0  # load reactance scale, ohms
 DEFAULT_PORT_OFFSET = 0.375  # input/output face separation, wavelengths
+COND_THRESHOLD = 1e12  # largest accepted condition number of Z_ss + Z_s(eta)
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,17 @@ def port_positions(geometry: ArrayGeometry, params: ImpedanceParams) -> np.ndarr
 
 
 def mutual_coupling(distance: np.ndarray, beta: float, wavelength: float) -> np.ndarray:
-    """Radiative mutual impedance beta * exp(-j*2*pi*d/lam) / (2*pi*d/lam)."""
-    kd = 2.0 * np.pi * np.asarray(distance, dtype=float) / wavelength
-    return beta * np.exp(-1j * kd) / kd
+    """Radiative mutual impedance beta * exp(-j*2*pi*d/lam) / (2*pi*d/lam).
+
+    Evaluated in place, one float and one complex array of the input's shape,
+    with the operations of the formula in its order."""
+    kd = 2.0 * np.pi * np.asarray(distance, dtype=float)  # a new array
+    kd /= wavelength
+    z = -1j * kd
+    np.exp(z, out=z)
+    z *= beta
+    z /= kd
+    return z
 
 
 def build_impedance(geometry: ArrayGeometry, params: ImpedanceParams) -> np.ndarray:
@@ -178,7 +187,6 @@ class SimNetwork:
         elements_per_layer: int,
         eta: Optional[np.ndarray] = None,
         x0: float = DEFAULT_X0,
-        cond_threshold: float = 1e12,
     ):
         n_ports = 2 * n_cells
         self.z_ss = np.asfortranarray(validate_static_impedance(z_ss, n_ports))
@@ -189,7 +197,6 @@ class SimNetwork:
         self.n_cells = n_cells
         self.elements_per_layer = elements_per_layer
         self.x0 = float(x0)
-        self.cond_threshold = float(cond_threshold)
         self._eta = np.zeros(n_cells) if eta is None else wrap_phase(np.asarray(eta, float))
         if self._eta.shape != (n_cells,):
             raise ConfigurationError("eta must have one entry per cell")
@@ -254,7 +261,7 @@ class SimNetwork:
             rcond, info = self._gecon(lu, anorm, norm="1")
             if info != 0:
                 rcond = 0.0
-            if not np.isfinite(rcond) or rcond < 1.0 / self.cond_threshold:
+            if not np.isfinite(rcond) or rcond < 1.0 / COND_THRESHOLD:
                 raise ConditioningError(
                     "total impedance matrix is numerically singular "
                     f"(reciprocal condition {rcond:.3e}, max |eta| = "
@@ -278,7 +285,6 @@ def build_sim_network(
     params: Optional[ImpedanceParams] = None,
     z_ss: Optional[np.ndarray] = None,
     eta: Optional[np.ndarray] = None,
-    cond_threshold: float = 1e12,
 ) -> SimNetwork:
     """Assemble the network from geometry, analytically or from a given Z_ss."""
     params = params or ImpedanceParams()
@@ -292,7 +298,6 @@ def build_sim_network(
         elements_per_layer=geometry.elements_per_layer,
         eta=eta,
         x0=params.x0,
-        cond_threshold=cond_threshold,
     )
 
 

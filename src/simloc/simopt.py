@@ -48,6 +48,11 @@ T. The forward right-hand side is the weighted residual scattered onto the
 input ports. The stop rule reuses the evaluation's rotation and recomputes
 only the gain under the final weighting, and the delta metrics of an
 evaluation are computed only when the stop rule or a trace row reads them.
+
+Every optimizer evaluation and every calibration takes one path: Q, then
+c, concentrated under a W^2 matrix (the identity at w_perp = 1). The bare
+objective is the one caller without the rotation, so it forms its own
+residual and shares only the gradient, at W^2 = I.
 """
 
 from __future__ import annotations
@@ -71,12 +76,13 @@ class OptimizerConfig:
     """Settings for :func:`optimize`.
 
     ``complement_weights`` is the annealed schedule of the off-subspace
-    weight, each entry in [0, 1]; ``(1.0,)`` reproduces the plain unweighted
-    Frobenius objective. ``max_iters`` caps the L-BFGS iterations of each
-    stage, ``target_delta_u`` is the convergence threshold on the final
-    delta_U and sets the stop rule, ``rng_seed`` draws the starting phases
-    and ``trace_every`` keeps every n-th iterate in the trace (0 turns it
-    off). Out-of-range values raise :class:`ConfigurationError`.
+    weight, each entry in [0, 1]; ``(1.0,)`` weights every direction alike
+    (W^2 = I, gain and rotation still concentrated). ``max_iters`` caps the
+    L-BFGS iterations of each stage, ``target_delta_u`` is the convergence
+    threshold on the final delta_U and sets the stop rule, ``rng_seed``
+    draws the starting phases and ``trace_every`` keeps every n-th iterate
+    in the trace (0 turns it off). Out-of-range values raise
+    :class:`ConfigurationError`.
     """
 
     max_iters: int = 4000
@@ -161,94 +167,55 @@ class _EvalState:
         return relative_mismatch(self.delta, self.u)
 
 
-def _weight_matrix(u: np.ndarray, w_perp: float) -> Optional[np.ndarray]:
-    """W^2 for the ensemble weighting; None means the unweighted identity."""
-    if w_perp >= 1.0:
-        return None
+def _weight_matrix(u: np.ndarray, w_perp: float) -> np.ndarray:
+    """W^2 = w_perp*I + (1-w_perp)*U U^H of the training ensemble; w_perp = 1
+    gives the identity."""
     k = u.shape[0]
     return w_perp * np.eye(k) + (1.0 - w_perp) * (u @ u.conj().T)
 
 
-def _gain(v: np.ndarray, y: np.ndarray, w2: Optional[np.ndarray]) -> complex:
+def _gain(v: np.ndarray, y: np.ndarray, w2: np.ndarray) -> complex:
     """The gain c minimizing the W^2-weighted ||c V - Y||."""
-    if w2 is None:
-        num, den = np.vdot(v, y), np.vdot(v, v).real
-    else:
-        w2_vh = w2 @ v.conj().T
-        num, den = np.trace(w2_vh @ y), np.real(np.trace(w2_vh @ v))
+    w2_vh = w2 @ v.conj().T
+    num, den = np.trace(w2_vh @ y), np.real(np.trace(w2_vh @ v))
     if den == 0.0:
         return 1.0 + 0.0j
     return complex(num / den)
 
 
-def _concentrate(
-    v: np.ndarray,
-    u: np.ndarray,
-    w2: Optional[np.ndarray],
-    with_scale: bool,
-    with_rotation: bool,
-) -> Tuple[complex, np.ndarray]:
-    """Closed-form minimization over the unitary Q^H, then the gain c.
+def _mismatch(
+    v: np.ndarray, u: np.ndarray, w2: np.ndarray
+) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
+    """Concentrate the unitary Q^H, then the gain c, and form the residual
+    Delta = c V - Q^H U^H: returns (c, Q^H, Q^H U^H, Delta).
 
     Q^H is the polar factor P of V U = P H, whatever the weighting. Because
     U^H W^2 = U^H, the gain that follows is tr(H) / tr(W^2 V^H V), real and
     positive, so a further rotation step would return the same P: one round
     of the gain/rotation alternation is its fixed point.
     """
-    y = u.conj().T
-    if with_rotation:
-        left, _, right = np.linalg.svd(v @ u)
-        q_h = left @ right  # unitary closest to V U
-        y = q_h @ y
-    else:
-        q_h = np.eye(u.shape[1], dtype=complex)
-    if not with_scale:
-        return 1.0 + 0.0j, q_h
-    return _gain(v, y, w2), q_h
-
-
-def _mismatch(
-    v: np.ndarray,
-    u: np.ndarray,
-    w2: Optional[np.ndarray],
-    with_scale: bool,
-    with_rotation: bool,
-) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
-    """Concentrate c and Q^H, then the residual Delta = c V - Q^H U^H:
-    returns (c, Q^H, Q^H U^H, Delta)."""
-    c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
+    left, _, right = np.linalg.svd(v @ u)
+    q_h = left @ right  # unitary closest to V U
     y = q_h @ u.conj().T
+    c = _gain(v, y, w2)
     delta = c * v - y
     if not np.isfinite(delta).all():
         raise OptimizationError("projection mismatch is not finite")
     return c, q_h, y, delta
 
 
-def _evaluate(
-    net: SimNetwork,
-    u: np.ndarray,
-    w2: Optional[np.ndarray],
-    with_scale: bool,
-    with_rotation: bool,
-) -> _EvalState:
+def _evaluate(net: SimNetwork, u: np.ndarray, w2: np.ndarray) -> _EvalState:
     b = net.solve(net.c_out.T)  # adjoint pass, M columns
     v = b[net.input_port_indices(), :].T
-    c, _, y, delta = _mismatch(v, u, w2, with_scale, with_rotation)
-    if w2 is None:
-        obj = float(np.linalg.norm(delta, "fro") ** 2)
-    else:
-        obj = float(np.real(np.trace(w2 @ delta.conj().T @ delta)))
+    c, _, y, delta = _mismatch(v, u, w2)
+    obj = float(np.real(np.trace(w2 @ delta.conj().T @ delta)))
     if not np.isfinite(obj):
         raise OptimizationError("objective is not finite")
     return _EvalState(obj, v, c, y, delta, u, b)
 
 
-def _gradient_from_state(
-    net: SimNetwork, state: _EvalState, w2: Optional[np.ndarray]
-) -> np.ndarray:
-    residual = state.scale * state.v - state.target_eff
-    if w2 is not None:
-        residual = residual @ w2
+def _gradient_from_state(net: SimNetwork, state: _EvalState, w2: np.ndarray) -> np.ndarray:
+    residual = (state.scale * state.v - state.target_eff) @ w2
     # forward pass, M columns: E_in R^H, R^H scattered onto the input ports
     rhs = np.zeros((net.n_ports, residual.shape[0]), dtype=complex, order="F")
     rhs[net.input_port_indices()] = residual.conj().T
@@ -272,25 +239,34 @@ def _check_target(net: SimNetwork, target: np.ndarray) -> np.ndarray:
     return target
 
 
-def objective(net: SimNetwork, target: np.ndarray, concentrate_scale: bool = True) -> float:
+def _bare_state(net: SimNetwork, target: np.ndarray) -> _EvalState:
+    """The state of ||c V - target||_F^2 with only the gain c concentrated:
+    no rotation, no weighting."""
+    y = np.ascontiguousarray(_check_target(net, target))  # the norm sums in memory order
+    b = net.solve(net.c_out.T)
+    v = b[net.input_port_indices(), :].T
+    den = np.vdot(v, v).real
+    c = 1.0 + 0.0j if den == 0.0 else complex(np.vdot(v, y) / den)
+    delta = c * v - y
+    obj = float(np.linalg.norm(delta, "fro") ** 2)
+    if not np.isfinite(obj):
+        raise OptimizationError("objective is not finite")
+    return _EvalState(obj, v, c, y, delta, y.conj().T, b)
+
+
+def objective(net: SimNetwork, target: np.ndarray) -> float:
     """||c*V(eta) - target||_F^2 at the network's current phases."""
-    target = _check_target(net, target)
-    return _evaluate(net, target.conj().T, None, concentrate_scale, False).objective
+    return _bare_state(net, target).objective
 
 
-def gradient(net: SimNetwork, target: np.ndarray, concentrate_scale: bool = True) -> np.ndarray:
+def gradient(net: SimNetwork, target: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`objective` with respect to every phase."""
-    target = _check_target(net, target)
-    state = _evaluate(net, target.conj().T, None, concentrate_scale, False)
-    return _gradient_from_state(net, state, None)
+    state = _bare_state(net, target)
+    return _gradient_from_state(net, state, np.eye(net.n_inputs))
 
 
 def finite_difference_gradient(
-    net: SimNetwork,
-    target: np.ndarray,
-    coords: Sequence[int],
-    step: float = 1e-5,
-    concentrate_scale: bool = True,
+    net: SimNetwork, target: np.ndarray, coords: Sequence[int], step: float = 1e-5
 ) -> np.ndarray:
     """Central finite differences of :func:`objective`, the test oracle."""
     target = _check_target(net, target)
@@ -300,10 +276,10 @@ def finite_difference_gradient(
         eta = eta0.copy()
         eta[c] = eta0[c] + step
         net.set_eta(eta)
-        e_plus = objective(net, target, concentrate_scale)
+        e_plus = objective(net, target)
         eta[c] = eta0[c] - step
         net.set_eta(eta)
-        e_minus = objective(net, target, concentrate_scale)
+        e_minus = objective(net, target)
         out[i] = (e_plus - e_minus) / (2.0 * step)
     net.set_eta(eta0)
     return out
@@ -332,8 +308,8 @@ class _TargetMet(Exception):
 def _final_delta_u(
     state: _EvalState,
     u: np.ndarray,
-    w2: Optional[np.ndarray],
-    final_w2: Optional[np.ndarray],
+    w2: np.ndarray,
+    final_w2: np.ndarray,
 ) -> float:
     """delta_U of the state's V under the final-stage weighting. Q^H and
     Y = Q^H U^H do not depend on the weighting, so a state evaluated at an
@@ -347,8 +323,8 @@ def _final_delta_u(
 def _meets_target(
     state: _EvalState,
     u: np.ndarray,
-    w2: Optional[np.ndarray],
-    final_w2: Optional[np.ndarray],
+    w2: np.ndarray,
+    final_w2: np.ndarray,
     target_delta_u: float,
 ) -> bool:
     """The stop rule: delta_U under the final-stage weighting within the
@@ -363,8 +339,8 @@ def _meets_target(
 def _lbfgs_stage(
     net: SimNetwork,
     u: np.ndarray,
-    w2: Optional[np.ndarray],
-    final_w2: Optional[np.ndarray],
+    w2: np.ndarray,
+    final_w2: np.ndarray,
     cfg: OptimizerConfig,
     eta: np.ndarray,
     trace: OptimizationTrace,
@@ -379,7 +355,7 @@ def _lbfgs_stage(
     def fun(x: np.ndarray):
         net.set_eta(x)
         try:
-            state = _evaluate(net, u, w2, True, True)
+            state = _evaluate(net, u, w2)
         except ConditioningError:
             memo["x"] = None
             return 1e9, np.zeros_like(x)
@@ -399,7 +375,7 @@ def _lbfgs_stage(
         else:
             try:
                 net.set_eta(x)
-                state = _evaluate(net, u, w2, True, True)
+                state = _evaluate(net, u, w2)
             except ConditioningError:
                 return
         move = float(np.linalg.norm(x - last["eta"]))
@@ -442,7 +418,7 @@ def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> Optim
     trace = OptimizationTrace()
     stage_w2 = [_weight_matrix(u, w_perp) for w_perp in cfg.complement_weights]
     final_w2 = stage_w2[-1]
-    state = _evaluate(net, u, final_w2, True, True)
+    state = _evaluate(net, u, final_w2)
     trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
 
     if state.delta_u > cfg.target_delta_u:
@@ -453,7 +429,7 @@ def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> Optim
                 trace.stopped_on_target = True
                 break
         net.set_eta(eta)
-        state = _evaluate(net, u, final_w2, True, True)
+        state = _evaluate(net, u, final_w2)
         trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
 
     trace.converged = state.delta_u <= cfg.target_delta_u
@@ -475,13 +451,7 @@ class CalibratedProjection:
     scale: complex
 
 
-def calibrate_projection(
-    v: np.ndarray,
-    u: np.ndarray,
-    w_perp: float = 0.2,
-    with_scale: bool = True,
-    with_rotation: bool = True,
-) -> CalibratedProjection:
+def calibrate_projection(v: np.ndarray, u: np.ndarray, w_perp: float) -> CalibratedProjection:
     """Concentrate the gain and output rotation of a raw projection.
 
     ``w_perp`` is the complement weight of the training ensemble; a
@@ -489,7 +459,7 @@ def calibrate_projection(
     annealing schedule, the weighting its stop rule measures under."""
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    c, q_h, _, _ = _mismatch(v, u, _weight_matrix(u, w_perp), with_scale, with_rotation)
+    c, q_h, _, _ = _mismatch(v, u, _weight_matrix(u, w_perp))
     return CalibratedProjection(v_scaled=c * v, u_basis=u @ q_h.conj().T, scale=c)
 
 

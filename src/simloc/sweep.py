@@ -29,9 +29,10 @@ phases alike: :func:`calibrated_surface` calibrates the network's
 projection and ``bounds.mismatch_metrics`` measures it.
 
 The per-point steps the CLI shares with the sweep live here too:
-:func:`point_model` (geometry, covariance and rank-L model at a region and
-seed), :func:`calibrated_surface` and :func:`position_bound` (the PEB at
-the region centre for an estimator's white-equivalent residual).
+:func:`point_model` (geometry, covariance and its L dominant eigenpairs at
+a region and seed), :func:`calibrated_surface` and :func:`position_bound`
+(the PEB at the region centre for an estimator's white-equivalent
+residual).
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import fim_peb, mismatch_metrics
-from .channel import estimate_covariance, steering_vector
+from .channel import estimate_covariance, reduce_subspace, steering_vector
 from .config import ScenarioConfig
 from .errors import ConfigurationError
-from .estimation import estimator_suite, monte_carlo_mse, reduced_model
+from .estimation import estimator_suite, monte_carlo_mse
 from .geometry import build_sim_geometry, region_at
 from .localizer import localize
 from .matio import load_csv, save_csv
@@ -115,7 +116,10 @@ def load_records(path) -> List[ResultRecord]:
     header, rows = load_csv(path)
     if header and header != RECORD_HEADER:
         raise ConfigurationError(f"{path}: not a sweep record file")
-    return [record_from_row(r) for r in rows]
+    try:
+        return [record_from_row(r) for r in rows]
+    except (ValueError, IndexError) as exc:
+        raise ConfigurationError(f"{path}: malformed record ({exc})") from exc
 
 
 def _cell_seed(master: int, *parts: int) -> int:
@@ -124,8 +128,8 @@ def _cell_seed(master: int, *parts: int) -> int:
 
 def point_model(cfg: ScenarioConfig, region, seed: int):
     """Surface and receiver geometry, the channel covariance over ``region``
-    drawn from ``seed``, and its rank-L model: ``(surface, receiver, cov, U,
-    cov_l)``."""
+    drawn from ``seed``, and its L dominant eigenpairs: ``(surface, receiver,
+    cov, U, D)``."""
     sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
     cov = estimate_covariance(
         sim_geom,
@@ -135,8 +139,8 @@ def point_model(cfg: ScenarioConfig, region, seed: int):
         rng_seed=seed,
         rank_threshold=cfg.covariance.rank_threshold,
     )
-    u, cov_l = reduced_model(cov, cfg.outputs)
-    return sim_geom, rx_geom, cov, u, cov_l
+    u, d = reduce_subspace(cov, l_fixed=cfg.outputs)
+    return sim_geom, rx_geom, cov, u, d
 
 
 def calibrated_surface(cfg: ScenarioConfig, net, u: np.ndarray):
@@ -195,7 +199,7 @@ def run_cell(
 ) -> List[ResultRecord]:
     """Evaluate one (distance, bearing) cell across the configured SNRs."""
     region = region_at(distance, bearing, cfg.region.diameter_m)
-    sim_geom, rx_geom, cov, u, cov_l = point_model(
+    sim_geom, rx_geom, cov, u, d = point_model(
         cfg, region, _cell_seed(cfg.covariance.seed, cell_index)
     )
     l = cfg.outputs
@@ -247,7 +251,7 @@ def run_cell(
     trials = cfg.sweep.trials
     for snr in snrs:
         sigma_z2 = cfg.noise_variance(snr)
-        suite = estimator_suite(cov, u, cov_l, sigma_z2, surface)
+        suite = estimator_suite(cov, u, d, sigma_z2, surface)
         for idx, (tag, est) in enumerate(suite.items()):
             emit(tag, snr, "mse_analytic", est.analytic_mse)
             emit(tag, snr, "mse_exact", est.exact_mse())

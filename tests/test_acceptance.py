@@ -94,7 +94,7 @@ class TestCriterion2FormEquivalence:
             vals, vecs = cov.eigenvalues, cov.eigenvectors
             spectral = vecs @ ((vals / (vals + sigma_z2))[:, None] * (vecs.conj().T @ r[:, None]))
             spectral = spectral[:, 0]
-            reduced = mmse_reduced(cov, sigma_z2)[0] @ (cov.u.conj().T @ r)
+            reduced = mmse_reduced(cov.u, cov.d, sigma_z2)[0] @ (cov.u.conj().T @ r)
 
             scale = np.linalg.norm(closed)
             worst = max(worst, np.linalg.norm(closed - spectral) / scale)

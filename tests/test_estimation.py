@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simloc.channel import covariance_from_matrix
+from simloc.channel import covariance_from_matrix, reduce_subspace
 from simloc.errors import ConfigurationError, EstimationError
 from simloc.estimation import (
     LinearEstimator,
@@ -14,7 +14,6 @@ from simloc.estimation import (
     mmse_post_sim,
     mmse_reduced,
     monte_carlo_mse,
-    reduced_model,
     rsls_ideal,
     rsls_post_sim,
 )
@@ -89,7 +88,7 @@ class TestMmseForms:
             rng = np.random.default_rng(200 + seed)
             r = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             full = mmse_full(cov, sigma_z2=0.5)[0] @ r
-            reduced = mmse_reduced(cov, sigma_z2=0.5)[0] @ (cov.u.conj().T @ r)
+            reduced = mmse_reduced(cov.u, cov.d, sigma_z2=0.5)[0] @ (cov.u.conj().T @ r)
             assert np.linalg.norm(full - reduced) <= 1e-10 * np.linalg.norm(full)
 
     def test_high_snr_mode_passes_unshrunk(self):
@@ -98,13 +97,13 @@ class TestMmseForms:
         d = np.array([1e9, 1.0])
         cov = covariance_from_matrix(u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12)
         y = np.array([1.0 + 0j, 1.0 + 0j])
-        h_hat = mmse_reduced(cov, sigma_z2=1.0)[0] @ y
+        h_hat = mmse_reduced(cov.u, cov.d, sigma_z2=1.0)[0] @ y
         assert h_hat[0] == pytest.approx(1.0, rel=1e-8)
         assert abs(h_hat[1]) == pytest.approx(0.5, rel=1e-8)
 
     def test_zero_observation_zero_estimate(self):
         cov = random_rank_deficient_cov(8, 3, seed=2)
-        w, _ = mmse_reduced(cov, sigma_z2=0.2)
+        w, _ = mmse_reduced(cov.u, cov.d, sigma_z2=0.2)
         np.testing.assert_allclose(w @ np.zeros(3, dtype=complex), 0.0)
 
 
@@ -142,8 +141,8 @@ class TestPostSim:
         r = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         v = cov.u.conj().T
         y = v @ r
-        w_post, mse_post = mmse_post_sim(v, cov, sigma_z2=0.3)
-        w_red, mse_red = mmse_reduced(cov, sigma_z2=0.3)
+        w_post, mse_post = mmse_post_sim(v, cov.u, cov.d, sigma_z2=0.3)
+        w_red, mse_red = mmse_reduced(cov.u, cov.d, sigma_z2=0.3)
         np.testing.assert_allclose(w_post @ y, w_red @ y, rtol=1e-10)
         assert mse_post == pytest.approx(mse_red, rel=1e-10)
 
@@ -154,9 +153,9 @@ class TestPostSim:
             rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         )
         r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        h1 = mmse_post_sim(v, cov, sigma_z2=0.2)[0] @ (v @ r)
+        h1 = mmse_post_sim(v, cov.u, cov.d, sigma_z2=0.2)[0] @ (v @ r)
         c = 2.7 - 0.3j
-        h2 = mmse_post_sim(c * v, cov, sigma_z2=0.2)[0] @ (c * v @ r)
+        h2 = mmse_post_sim(c * v, cov.u, cov.d, sigma_z2=0.2)[0] @ (c * v @ r)
         np.testing.assert_allclose(h1, h2, rtol=1e-10)
 
     def test_mmse_post_sim_monte_carlo_agreement(self):
@@ -166,7 +165,7 @@ class TestPostSim:
             rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
         )
         sigma_z2 = 0.5
-        est = estimator(mmse_post_sim(v, cov, sigma_z2), v, cov, sigma_z2)
+        est = estimator(mmse_post_sim(v, cov.u, cov.d, sigma_z2), v, cov, sigma_z2)
         mse, stderr = monte_carlo_mse(est, trials=10_000, rng_seed=15)
         expected = est.analytic_mse
         assert abs(mse - expected) <= max(3 * stderr, 0.03 * expected)
@@ -219,7 +218,7 @@ class TestPostSim:
         v = cov.u.conj().T.copy()
         v[1] = 0.0
         with pytest.raises(EstimationError):
-            mmse_post_sim(v, cov, sigma_z2=0.1)
+            mmse_post_sim(v, cov.u, cov.d, sigma_z2=0.1)
 
 
 class TestOrderingAndBaseline:
@@ -234,7 +233,7 @@ class TestOrderingAndBaseline:
         for seed in range(5):
             cov = random_rank_deficient_cov(12, 4, seed=seed)
             sigma_z2 = 0.3
-            _, mmse = mmse_reduced(cov, sigma_z2)
+            _, mmse = mmse_reduced(cov.u, cov.d, sigma_z2)
             _, rsls = rsls_ideal(cov.u, sigma_z2)
             assert mmse <= rsls + 1e-9
 
@@ -247,16 +246,16 @@ class TestOrderingAndBaseline:
         truncated = covariance_from_matrix(
             cov6.u[:, :4] @ np.diag(cov6.d[:4]) @ cov6.u[:, :4].conj().T
         )
-        _, reduced = mmse_reduced(truncated, sigma_z2)
+        _, reduced = mmse_reduced(truncated.u, truncated.d, sigma_z2)
         assert baseline < reduced + cov6.truncation_power(4) - 1e-6
-        _, full_reduced = mmse_reduced(cov6, sigma_z2)
+        _, full_reduced = mmse_reduced(cov6.u, cov6.d, sigma_z2)
         assert full_reduced + cov6.truncation_power(6) == pytest.approx(baseline, rel=1e-9)
 
     def test_empirical_mmse_below_rsls(self):
         cov = random_rank_deficient_cov(12, 4, seed=27)
         sigma_z2 = 0.5
         u_h = cov.u.conj().T
-        mmse = estimator(mmse_reduced(cov, sigma_z2), u_h, cov, sigma_z2)
+        mmse = estimator(mmse_reduced(cov.u, cov.d, sigma_z2), u_h, cov, sigma_z2)
         rsls = estimator(rsls_ideal(cov.u, sigma_z2), u_h, cov, sigma_z2)
         mse_mmse, _ = monte_carlo_mse(mmse, trials=4000, rng_seed=28)
         mse_rsls, _ = monte_carlo_mse(rsls, trials=4000, rng_seed=28)
@@ -304,9 +303,9 @@ class TestMonteCarlo:
         rng = np.random.default_rng(seed)
         k, l = 10, 3
         cov = random_rank_deficient_cov(k, 6, seed=seed)
-        u, cov_l = reduced_model(cov, l)
+        u, d = reduce_subspace(cov, l_fixed=l)
         v = u.conj().T + 0.05 * (rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k)))
-        est = estimator_suite(cov, u, cov_l, 0.3, (v, u))[tag]
+        est = estimator_suite(cov, u, d, 0.3, (v, u))[tag]
         got = monte_carlo_mse(est, trials=trials, rng_seed=seed)
         want = reference_monte_carlo_mse(
             cov, est.p, 0.3, lambda y: est.w @ y, trials=trials, rng_seed=seed
@@ -320,26 +319,26 @@ class TestEstimatorSuite:
         k, l = 12, 4
         q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
         self.cov = covariance_from_matrix(q @ np.diag(0.5 ** np.arange(k)) @ q.conj().T)
-        self.u, self.cov_l = reduced_model(self.cov, l)
+        self.u, self.d = reduce_subspace(self.cov, l_fixed=l)
         self.v = self.u.conj().T + 0.05 * (
             rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
         )
         self.rng = rng
 
     def test_matrices_equal_functional_estimators(self):
-        cov, u, cov_l, v = self.cov, self.u, self.cov_l, self.v
+        cov, u, d, v = self.cov, self.u, self.d, self.v
         sigma_z2 = 0.3
         trunc = cov.truncation_power(u.shape[1])
         assert trunc > 0.0
         u_h = u.conj().T
         reference = {
-            "mmse-ideal": (mmse_reduced(cov_l, sigma_z2), u_h, trunc),
+            "mmse-ideal": (mmse_reduced(u, d, sigma_z2), u_h, trunc),
             "rsls-ideal": (rsls_ideal(u, sigma_z2), u_h, trunc),
             "digital-baseline": (digital_baseline(cov, sigma_z2), np.eye(12), 0.0),
-            "mmse-sim": (mmse_post_sim(v, cov_l, sigma_z2), v, trunc),
+            "mmse-sim": (mmse_post_sim(v, u, d, sigma_z2), v, trunc),
             "rsls-sim": (rsls_post_sim(v, u, sigma_z2), v, trunc),
         }
-        suite = estimator_suite(cov, u, cov_l, sigma_z2, (v, u))
+        suite = estimator_suite(cov, u, d, sigma_z2, (v, u))
         assert list(suite) == list(reference)
         for tag, est in suite.items():
             (w, mse), p, truncation = reference[tag]
@@ -361,13 +360,13 @@ class TestEstimatorSuite:
         rank = data.draw(st.integers(1, k), label="rank")
         l = data.draw(st.integers(1, rank), label="l")
         cov = random_rank_deficient_cov(k, rank, seed=seed)
-        u, cov_l = reduced_model(cov, l)
-        suite = estimator_suite(cov, u, cov_l, sigma_z2)
+        u, d = reduce_subspace(cov, l_fixed=l)
+        suite = estimator_suite(cov, u, d, sigma_z2)
         for tag in ("mmse-ideal", "rsls-ideal", "digital-baseline"):
             assert suite[tag].exact_mse() == pytest.approx(suite[tag].analytic_mse, rel=1e-12), tag
 
     def test_without_surface_only_ideal_and_baseline(self):
-        suite = estimator_suite(self.cov, self.u, self.cov_l, 0.3)
+        suite = estimator_suite(self.cov, self.u, self.d, 0.3)
         assert list(suite) == ["mmse-ideal", "rsls-ideal", "digital-baseline"]
         np.testing.assert_array_equal(suite["mmse-ideal"].p, self.u.conj().T)
         np.testing.assert_array_equal(suite["digital-baseline"].p, np.eye(12))

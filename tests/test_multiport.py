@@ -118,6 +118,24 @@ class TestBuildImpedance:
         m = mutual_coupling(d, 40.0, lam)
         assert abs(m[1]) == pytest.approx(abs(m[0]) / 2, rel=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(7,), (5, 9), (3, 4, 2)]),
+        beta=st.floats(1.0, 200.0),
+        wavelength=st.floats(1e-3, 1.0),
+    )
+    def test_in_place_evaluation_equals_the_formula(self, seed, shape, beta, wavelength):
+        # the in-place evaluation keeps the formula's operations and their
+        # order, so it is bit for bit the one-line expression, and it leaves
+        # the caller's distances untouched
+        d = np.random.default_rng(seed).uniform(1e-3, 2.0, shape)
+        before = d.copy()
+        kd = 2.0 * np.pi * d / wavelength
+        expected = beta * np.exp(-1j * kd) / kd
+        np.testing.assert_array_equal(mutual_coupling(d, beta, wavelength), expected)
+        np.testing.assert_array_equal(d, before)
+
     def test_file_matrix_validation(self):
         cfg = GeometryConfig(k_y=2, k_z=1, layers=1, carrier_frequency_hz=28e9)
         sim, rx = build_sim_geometry(cfg)
@@ -282,20 +300,29 @@ class TestEffectiveProjection:
         v = effective_projection_matrix(net)
         rng = np.random.default_rng(0)
         u, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
-        cal = calibrate_projection(v, u, w_perp=1.0, with_rotation=False)
+        cal = calibrate_projection(v, u, w_perp=1.0)
         m = mismatch_metrics(cal.v_scaled, cal.u_basis)
-        delta = cal.scale * v - u.conj().T
+        delta = cal.scale * v - cal.u_basis.conj().T
         assert m.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(2), rel=1e-12)
-        assert m.delta_u == pytest.approx(np.linalg.norm(delta @ u, 2), rel=1e-12)
+        assert m.delta_u == pytest.approx(np.linalg.norm(delta @ cal.u_basis, 2), rel=1e-12)
 
     def test_concentrated_scale_minimizes(self):
+        # c minimizes the weighted ||c V - (U Q)^H|| at the calibrated Q
         rng = np.random.default_rng(1)
         v = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-        y = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-        c = calibrate_projection(v, y.conj().T, w_perp=1.0, with_rotation=False).scale
-        base = np.linalg.norm(c * v - y)
-        for dc in [0.01, -0.01, 0.01j, -0.01j]:
-            assert np.linalg.norm((c + dc) * v - y) >= base
+        u, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        for w_perp in (1.0, 0.2):
+            cal = calibrate_projection(v, u, w_perp)
+            y = cal.u_basis.conj().T
+            w2 = w_perp * np.eye(6) + (1.0 - w_perp) * (u @ u.conj().T)
+
+            def weighted(scale):
+                delta = scale * v - y
+                return np.real(np.trace(w2 @ delta.conj().T @ delta))
+
+            base = weighted(cal.scale)
+            for dc in [0.01, -0.01, 0.01j, -0.01j]:
+                assert weighted(cal.scale + dc) >= base
 
 
 class TestRowOrthonormalityGap:

@@ -18,7 +18,6 @@ from simloc.multiport import (
 )
 from simloc.simopt import (
     OptimizerConfig,
-    _concentrate,
     _EvalState,
     _evaluate,
     _final_delta_u,
@@ -72,13 +71,39 @@ class TestObjective:
         )
         assert objective(net, target) == pytest.approx(oracle, rel=1e-12)
 
-    def test_orthonormal_target_energy_without_scale(self):
-        # with scale concentration disabled and V tiny against a unit-power
-        # target, the objective sits at ||target||_F^2 = L
-        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
-        target = u.conj().T
-        e = objective(net, target, concentrate_scale=False)
-        assert e == pytest.approx(3.0, rel=1e-2)
+
+def _gain_only_reference(net, target):
+    """The bare objective and gradient as the shared evaluation path once
+    formed them: gain by np.vdot, residual norm in C order, gradient from
+    the unweighted residual."""
+    target = np.asarray(target, dtype=complex)
+    b = net.solve(net.c_out.T)
+    v = b[net.input_port_indices(), :].T
+    y = np.eye(target.shape[0], dtype=complex) @ target
+    num, den = np.vdot(v, y), np.vdot(v, v).real
+    c = 1.0 + 0.0j if den == 0.0 else complex(num / den)
+    delta = c * v - y
+    obj = float(np.linalg.norm(delta, "fro") ** 2)
+    rhs = np.zeros((net.n_ports, delta.shape[0]), dtype=complex, order="F")
+    rhs[net.input_port_indices()] = delta.conj().T
+    p = net.solve(rhs)
+    w = (p * b).sum(axis=1)
+    slope = load_reactance_slope(net.eta, net.x0)
+    return obj, -2.0 * slope * np.real(1j * c * (w[0::2] + w[1::2]))
+
+
+class TestBareObjective:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), fortran_target=st.booleans())
+    def test_bit_equal_to_gain_only_formula(self, seed, fortran_target):
+        # the bare objective keeps its own residual (gain only, no rotation,
+        # no weighting) and reaches the shared gradient at W^2 = I exactly
+        net, u = _cached_desk_setup()
+        net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
+        target = u.conj().T if fortran_target else np.ascontiguousarray(u.conj().T)
+        obj_ref, grad_ref = _gain_only_reference(net, target)
+        assert objective(net, target) == obj_ref
+        np.testing.assert_array_equal(gradient(net, target), grad_ref)
 
 
 class TestGradient:
@@ -101,17 +126,7 @@ class TestGradient:
             scale = np.abs(fd) + 1e-9 * np.abs(g).max()
             assert (np.abs(fd - g[coords]) / scale).max() < 1e-5
 
-    def test_fd_agreement_without_scale_concentration(self):
-        net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
-        net.set_eta(np.random.default_rng(6).uniform(-3, 3, net.n_cells))
-        target = u.conj().T
-        g = gradient(net, target, concentrate_scale=False)
-        coords = [0, 3, 9, 15]
-        fd = finite_difference_gradient(net, target, coords, concentrate_scale=False)
-        scale = np.abs(fd) + 1e-9 * np.abs(g).max()
-        assert (np.abs(fd - g[coords]) / scale).max() < 1e-5
-
-    @pytest.mark.parametrize("w_perp", [0.0, 0.1, 0.2])
+    @pytest.mark.parametrize("w_perp", [0.0, 0.1, 0.2, 1.0])
     def test_stage_gradient_matches_central_differences(self, w_perp):
         # the gradient L-BFGS follows: weighted, gain and rotation concentrated
         net, u = desk_setup()
@@ -120,7 +135,7 @@ class TestGradient:
         for _ in range(3):
             eta0 = rng.uniform(-3.0, 3.0, net.n_cells)
             net.set_eta(eta0)
-            g = _gradient_from_state(net, _evaluate(net, u, w2, True, True), w2)
+            g = _gradient_from_state(net, _evaluate(net, u, w2), w2)
             fd = np.empty(net.n_cells)
             for c in range(net.n_cells):
                 sides = []
@@ -128,7 +143,7 @@ class TestGradient:
                     eta = eta0.copy()
                     eta[c] += step
                     net.set_eta(eta)
-                    sides.append(_evaluate(net, u, w2, True, True).objective)
+                    sides.append(_evaluate(net, u, w2).objective)
                 fd[c] = (sides[0] - sides[1]) / 2e-5
             # criterion 5's bound, with its 1e-4 floor for the FD roundoff
             ref = np.maximum(np.abs(fd), 1e-4 * np.abs(g).max())
@@ -137,18 +152,16 @@ class TestGradient:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        w_perp=st.sampled_from([None, 0.0, 0.1, 0.2]),
+        w_perp=st.sampled_from([0.0, 0.1, 0.2, 1.0]),
     )
     def test_m_column_forward_pass_equals_k_column_formula(self, seed, w_perp):
         # the forward pass solves for E_in R^H (M columns); the reference
         # solves for E_in (K columns) and applies R^H afterwards
         net, u = _cached_desk_setup()
         net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
-        w2 = None if w_perp is None else _weight_matrix(u, w_perp)
-        state = _evaluate(net, u, w2, True, True)
-        residual = state.scale * state.v - state.target_eff
-        if w2 is not None:
-            residual = residual @ w2
+        w2 = _weight_matrix(u, w_perp)
+        state = _evaluate(net, u, w2)
+        residual = (state.scale * state.v - state.target_eff) @ w2
         p = net.solve(input_embedding(net)) @ residual.conj().T
         w = (p * state.b).sum(axis=1)
         slope = load_reactance_slope(net.eta, net.x0)
@@ -159,18 +172,16 @@ class TestGradient:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        w_perp=st.sampled_from([None, 0.0, 0.1, 0.2]),
+        w_perp=st.sampled_from([0.0, 0.1, 0.2, 1.0]),
     )
     def test_scattered_forward_rhs_equals_embedding_product(self, seed, w_perp):
         # R^H scattered onto the input ports is E_in @ R^H exactly, so the
         # gradient is bit for bit the one the dense embedding gave
         net, u = _cached_desk_setup()
         net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
-        w2 = None if w_perp is None else _weight_matrix(u, w_perp)
-        state = _evaluate(net, u, w2, True, True)
-        residual = state.scale * state.v - state.target_eff
-        if w2 is not None:
-            residual = residual @ w2
+        w2 = _weight_matrix(u, w_perp)
+        state = _evaluate(net, u, w2)
+        residual = (state.scale * state.v - state.target_eff) @ w2
         p = net.solve(input_embedding(net) @ residual.conj().T)
         w = (p * state.b).sum(axis=1)
         slope = load_reactance_slope(net.eta, net.x0)
@@ -288,8 +299,8 @@ class TestTraceInvariants:
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
         net.set_eta(np.random.default_rng(8).uniform(-3, 3, net.n_cells))
         v = effective_projection_matrix(net)
-        for kwargs in ({"w_perp": 1.0, "with_rotation": False}, {}):
-            cal = calibrate_projection(v, u, **kwargs)
+        for w_perp in (1.0, 0.2):
+            cal = calibrate_projection(v, u, w_perp)
             m = mismatch_metrics(cal.v_scaled, cal.u_basis)
             q_h = cal.u_basis.conj().T @ u
             delta = cal.v_scaled - q_h @ u.conj().T
@@ -297,33 +308,23 @@ class TestTraceInvariants:
             assert m.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(3), rel=1e-12)
 
 
-def _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation):
+def _concentrate_eight_rounds(v, u, w2):
     """The gain/rotation alternation run for eight rounds; its later rounds
     are fixed-point steps, so the single round equals it up to rounding."""
     l = u.shape[1]
     q_h = np.eye(l, dtype=complex)
     c = 1.0 + 0.0j
-    y = u.conj().T
-    rounds = 8 if (with_scale and with_rotation) else 1
-    for _ in range(rounds):
-        if with_rotation:
-            a = c * (v @ u)
-            left, _, right = np.linalg.svd(a)
-            q_h = left @ right
-            y = q_h @ u.conj().T
-        if with_scale:
-            if w2 is None:
-                num = np.vdot(v, y)
-                den = np.vdot(v, v).real
-            else:
-                num = np.trace(w2 @ v.conj().T @ y)
-                den = np.real(np.trace(w2 @ v.conj().T @ v))
-            if den == 0.0:
-                c = 1.0 + 0.0j
-                break
-            c = complex(num / den)
-        if not with_rotation:
+    for _ in range(8):
+        a = c * (v @ u)
+        left, _, right = np.linalg.svd(a)
+        q_h = left @ right
+        y = q_h @ u.conj().T
+        num = np.trace(w2 @ v.conj().T @ y)
+        den = np.real(np.trace(w2 @ v.conj().T @ v))
+        if den == 0.0:
+            c = 1.0 + 0.0j
             break
+        c = complex(num / den)
     return c, q_h
 
 
@@ -333,14 +334,10 @@ class TestConcentrate:
         seed=st.integers(0, 2**32 - 1),
         k=st.integers(2, 24),
         l=st.integers(1, 6),
-        w_perp=st.sampled_from([None, 0.0, 0.1, 0.2, 0.7]),
-        with_scale=st.booleans(),
-        with_rotation=st.booleans(),
+        w_perp=st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.0]),
         zero_v=st.booleans(),
     )
-    def test_equals_eight_round_reference(
-        self, seed, k, l, w_perp, with_scale, with_rotation, zero_v
-    ):
+    def test_equals_eight_round_reference(self, seed, k, l, w_perp, zero_v):
         l = min(l, k)
         rng = np.random.default_rng(seed)
         u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
@@ -349,11 +346,13 @@ class TestConcentrate:
         v = b[:k, :].T
         if zero_v:
             v = np.zeros_like(v)
-        w2 = None if w_perp is None else _weight_matrix(u, w_perp)
-        c, q_h = _concentrate(v, u, w2, with_scale, with_rotation)
-        c_ref, q_h_ref = _concentrate_eight_rounds(v, u, w2, with_scale, with_rotation)
+        w2 = _weight_matrix(u, w_perp)
+        c, q_h, y, delta = _mismatch(v, u, w2)
+        c_ref, q_h_ref = _concentrate_eight_rounds(v, u, w2)
         assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
         assert np.linalg.norm(q_h - q_h_ref) <= 1e-12 * np.linalg.norm(q_h_ref)
+        np.testing.assert_array_equal(y, q_h @ u.conj().T)
+        np.testing.assert_array_equal(delta, c * v - y)
 
 
 class TestNoiseInflation:
@@ -380,7 +379,7 @@ class TestNoiseInflation:
 
 def _state_at(v, u, w2):
     """The evaluation state the optimizer holds for V at stage weight W^2."""
-    c, _, y, delta = _mismatch(v, u, w2, True, True)
+    c, _, y, delta = _mismatch(v, u, w2)
     return _EvalState(0.0, v, c, y, delta, u, None)
 
 
@@ -401,8 +400,10 @@ class TestStopRule:
         cal = calibrate_projection(v, u, w_perp=0.2)
         assert mismatch_metrics(cal.v_scaled, cal.u_basis).delta_u <= tau
         assert noise_inflation(v, u) == pytest.approx(1.5, rel=1e-12)
-        assert not _meets_target(_state_at(v, u, None), u, None, final_w2, tau)
-        assert _meets_target(_state_at(u.conj().T, u, None), u, None, final_w2, tau)
+        # states held at an unweighted stage, re-measured under the final one
+        w2 = _weight_matrix(u, 1.0)
+        assert not _meets_target(_state_at(v, u, w2), u, w2, final_w2, tau)
+        assert _meets_target(_state_at(u.conj().T, u, w2), u, w2, final_w2, tau)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -421,6 +422,6 @@ class TestStopRule:
         v = b[:k, :].T
         stage_w2 = [_weight_matrix(u, w_perp) for w_perp in schedule]
         final_w2 = stage_w2[-1]
-        expected = subspace_mismatch(_mismatch(v, u, final_w2, True, True)[3], u)
+        expected = subspace_mismatch(_mismatch(v, u, final_w2)[3], u)
         for w2 in stage_w2:
             assert _final_delta_u(_state_at(v, u, w2), u, w2, final_w2) == expected

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from simloc.bounds import mismatch_metrics, mse_ratio_bound, noise_inflation
 from simloc.channel import estimate_covariance, reduce_subspace, steering_vector
 from simloc.cli import EXIT_NUMERICAL, main
+from simloc import sweep
 from simloc.config import load_config, parse_config
-from simloc.estimation import estimator_suite, reduced_model
+from simloc.estimation import estimator_suite
 from simloc.geometry import build_sim_geometry, region_at
 from simloc.localizer import LocalizerConfig, localize
 from simloc.matio import (
@@ -37,6 +38,18 @@ from simloc.sweep import (
     run_sweep,
     save_records,
 )
+
+
+# a scenario whose point model takes milliseconds, for the CLI's error paths
+_SMALL_SCENARIO = {
+    "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+    "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+    "reduction": {"outputs": 3},
+    "noise": {"snr_db": [5.0]},
+    "covariance": {"samples": 500, "seed": 5},
+    "optimizer": {"max_iters": 40, "restarts": 1, "seed": 0},
+    "sweep": {"trials": 100, "seed": 1},
+}
 
 
 def tiny_scenario(**overrides):
@@ -451,7 +464,7 @@ class TestCli:
             sim_geom, cfg.region.build(), cfg.gain, n_samples=800, rng_seed=5,
             rank_threshold=cfg.covariance.rank_threshold,
         )
-        u, cov_l = reduced_model(cov, cfg.outputs)
+        u, d = reduce_subspace(cov, l_fixed=cfg.outputs)
         # an imperfect surface, so that exact and analytic MSE differ
         rng = np.random.default_rng(4)
         v = u.conj().T + 0.2 * (rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
@@ -464,7 +477,7 @@ class TestCli:
         cal = calibrate_projection(v, u, w_perp=cfg.optimizer.complement_weights[-1])
         for row, snr in zip(report["peb"], cfg.snr_db):
             suite = estimator_suite(
-                cov, u, cov_l, cfg.noise_variance(snr), (cal.v_scaled, cal.u_basis)
+                cov, u, d, cfg.noise_variance(snr), (cal.v_scaled, cal.u_basis)
             )
             mmse = suite["mmse-sim"]
             assert mmse.analytic_mse != pytest.approx(mmse.exact_mse(), rel=1e-3)
@@ -545,6 +558,74 @@ class TestCli:
         assert code == 2
         assert "give either --eta or --no-sim" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--eta", None),  # the file does not exist
+            ("--eta", "# rvector 16\n0.1\n0.2\n"),  # truncated
+            ("--eta", "# rvector 2\n0.1\nnorth\n"),  # non-numeric entry
+            ("--projection", "# cmatrix x 2\n0 0 0 0\n"),  # malformed header
+        ],
+    )
+    def test_malformed_input_file_is_config_error(self, tmp_path, capsys, flag, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_SMALL_SCENARIO))
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+        code = main(["estimate", "--config", str(cfg_path), flag, str(path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row", ["d0.3_b0,sim,0.3,zero,nan,x,1,0,a", "d0.3_b0,sim,0.3,0.0,nan,x"]
+    )
+    def test_malformed_records_are_config_error(self, tmp_path, capsys, row):
+        rec_path = tmp_path / "sweep.csv"
+        rec_path.write_text(",".join(RECORD_HEADER) + "\n" + row + "\n")
+        code = main(["plot-data", "--records", str(rec_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert str(rec_path) in capsys.readouterr().err
+
+    def test_degenerate_region_keeps_every_retained_mode(self, tmp_path):
+        # a point region has lambda_2 / lambda_1 at roundoff, below any
+        # rank cutoff; the rank-L model still keeps its L modes, so the
+        # L-column estimators match their L-row projections
+        cfg_path = tmp_path / "cfg.json"
+        doc = json.loads(json.dumps(_SMALL_SCENARIO))
+        doc["region"]["diameter_m"] = 0.0
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("estimate", "bounds"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        report = json.loads((tmp_path / "estimate" / "estimate_report.json").read_text())
+        assert {row["estimator"] for row in report} == {
+            "mmse-ideal", "rsls-ideal", "digital-baseline"
+        }
+
+    def test_optimize_sim_with_subspace_estimates_no_covariance(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_SMALL_SCENARIO))
+        cfg = load_config(cfg_path)
+        sim_geom, _ = build_sim_geometry(cfg.geometry)
+        cov = estimate_covariance(sim_geom, cfg.region.build(), cfg.gain, n_samples=500)
+        sub_path = tmp_path / "u.cmat"
+        save_complex_matrix(sub_path, reduce_subspace(cov, l_fixed=cfg.outputs)[0])
+        calls = {"n": 0}
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return estimate_covariance(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "estimate_covariance", counting)
+        code = main(["optimize-sim", "--config", str(cfg_path), "--subspace", str(sub_path),
+                     "--out-dir", str(tmp_path / "opt")])
+        assert code in (0, 4)
+        assert (tmp_path / "opt" / "eta.rvec").exists()
+        assert calls["n"] == 0
 
 
 class TestCliPipelines:
