@@ -68,7 +68,10 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a parent that is one
+        raise ConfigurationError(f"--out-dir {out}: not a usable directory ({exc})") from exc
     return out
 
 

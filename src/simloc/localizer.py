@@ -28,7 +28,8 @@ The coarse grid depends only on the region, so ``localize`` builds its
 steering matrix once per call and shares it across every estimate of a
 batch; the polish then runs for every estimate at once. Every per-row
 operation is elementwise or a reduction along that row, so a row's result
-does not depend on the batch it came in.
+does not depend on the batch it came in. The sweep relies on that: it
+localizes every estimate of a cell, all SNRs and estimators, in one call.
 """
 
 from __future__ import annotations

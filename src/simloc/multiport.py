@@ -10,6 +10,15 @@ by T(eta) = inv(Z_ss + Z_s(eta)), which is never materialized: all products
 with T go through a cached LU factorization, which each network makes in
 place, in one Fortran-ordered work buffer it allocates once.
 
+A factorization costs the LU plus O(n) besides. tan(eta/2) is taken once per
+phase update and serves both the load diagonal and the gradient's reactance
+slope. The 1-norm that ``gecon`` needs is the off-diagonal column sums of
+|Z_ss|, cached at construction, plus the magnitudes of the new diagonal.
+Its rounding differs from a sum over the assembled matrix, but the
+reciprocal condition number it yields is only compared against
+``1 / COND_THRESHOLD``. Setting phases bit-equal to the installed ones
+keeps the factorization.
+
 Ports sit on the two faces of their layer: the input port of a cell at
 x - port_offset/2, the output port at x + port_offset/2. Mutual coupling
 decays with the true port separation, which gives adjacent layers a strong
@@ -151,17 +160,6 @@ def build_output_coupling(
     return c_out
 
 
-def load_reactance(eta: np.ndarray, x0: float) -> np.ndarray:
-    """Per-cell load reactance X(eta) = x0 * tan(eta / 2)."""
-    return x0 * np.tan(np.asarray(eta, dtype=float) / 2.0)
-
-
-def load_reactance_slope(eta: np.ndarray, x0: float) -> np.ndarray:
-    """d X / d eta = x0/2 * (1 + tan^2(eta/2))."""
-    t = np.tan(np.asarray(eta, dtype=float) / 2.0)
-    return 0.5 * x0 * (1.0 + t**2)
-
-
 def wrap_phase(eta: np.ndarray) -> np.ndarray:
     """Wrap phases into (-pi, pi]."""
     w = (np.asarray(eta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
@@ -173,9 +171,10 @@ class SimNetwork:
     """Stacked-surface network with a cached factorization of Z_ss + Z_s(eta).
 
     Immutable except for phase updates through :meth:`set_eta`, which
-    invalidate the factorization. The next solve refills the network's one
-    work buffer with Z_ss + Z_s(eta) and factorizes it in place. Solves at a
-    fixed eta, once it is factorized, only read the buffer. Sharing a
+    invalidate the factorization unless the wrapped phases are bit-equal to
+    the installed ones. The next solve refills the network's one work buffer
+    with Z_ss + Z_s(eta) and factorizes it in place. Solves at a fixed eta,
+    once it is factorized, only read the buffer. Sharing a
     network across threads that call :meth:`set_eta` was never safe.
     """
 
@@ -200,9 +199,13 @@ class SimNetwork:
         self._eta = np.zeros(n_cells) if eta is None else wrap_phase(np.asarray(eta, float))
         if self._eta.shape != (n_cells,):
             raise ConfigurationError("eta must have one entry per cell")
+        self._tan_half = np.tan(self._eta / 2.0)
         self._fact = None
         self._work = np.empty_like(self.z_ss)  # Fortran order, LU in place
         self._work_diag = self._work.reshape(-1, order="F")[:: n_ports + 1]  # a view
+        mag = np.abs(self.z_ss)
+        np.fill_diagonal(mag, 0.0)
+        self._offdiag_colsum = mag.sum(axis=0)  # the 1-norm's static part
         self._gecon, self._getrs = sla.get_lapack_funcs(("gecon", "getrs"), (self._work,))
         self._input_ports = np.array(
             [port_index(0, e, "in", elements_per_layer) for e in range(elements_per_layer)]
@@ -230,7 +233,11 @@ class SimNetwork:
         eta = np.asarray(eta, dtype=float)
         if eta.shape != (self.n_cells,):
             raise ConfigurationError("eta must have one entry per cell")
-        self._eta = wrap_phase(eta)
+        eta = wrap_phase(eta)
+        if self._fact is not None and (eta == self._eta).all():
+            return  # keeps the factorization
+        self._eta = eta
+        self._tan_half = np.tan(eta / 2.0)
         self._fact = None
 
     def input_port_indices(self) -> np.ndarray:
@@ -238,9 +245,18 @@ class SimNetwork:
         return self._input_ports.copy()
 
     def load_diagonal(self) -> np.ndarray:
-        """Diagonal of Z_s(eta): both ports of cell c carry j*X(eta_c)."""
-        x = load_reactance(self._eta, self.x0)
-        return 1j * np.repeat(x, 2)
+        """Diagonal of Z_s(eta): both ports of cell c carry
+        j*X(eta_c) = j*x0*tan(eta_c / 2)."""
+        return 1j * np.repeat(self.x0 * self._tan_half, 2)
+
+    def reactance_slope(self) -> np.ndarray:
+        """Per-cell d X / d eta = x0/2 * (1 + tan^2(eta/2))."""
+        return 0.5 * self.x0 * (1.0 + self._tan_half**2)
+
+    def _one_norm(self, diag: np.ndarray) -> float:
+        """||Z_ss + Z_s(eta)||_1 in O(n) from its diagonal ``diag``: the
+        cached off-diagonal column sums of |Z_ss| plus |diag|."""
+        return float((self._offdiag_colsum + np.abs(diag)).max())
 
     def total_impedance(self) -> np.ndarray:
         z = self.z_ss.copy()
@@ -254,8 +270,7 @@ class SimNetwork:
             z = self._work
             z[...] = self.z_ss
             self._work_diag += self.load_diagonal()
-            # the 1-norm summed row by row, as numpy does on a C-ordered array
-            anorm = np.abs(z, order="C").sum(axis=0).max()
+            anorm = self._one_norm(self._work_diag)
             # looked up at call time, so a wrapped sla.lu_factor sees every LU
             lu, piv = sla.lu_factor(z, overwrite_a=True, check_finite=False)
             rcond, info = self._gecon(lu, anorm, norm="1")

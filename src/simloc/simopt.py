@@ -45,9 +45,21 @@ dT/deta_m = -T (dZ_s/deta_m) T, and dZ_s/deta_m touches only the two ports
 of cell m, so one evaluation costs one factorization, made in place in the
 network's work buffer, plus M adjoint and M forward solves, never forming
 T. The forward right-hand side is the weighted residual scattered onto the
-input ports. The stop rule reuses the evaluation's rotation and recomputes
-only the gain under the final weighting, and the delta metrics of an
-evaluation are computed only when the stop rule or a trace row reads them.
+input ports. The delta metrics of an evaluation are computed only when the
+stop rule or a trace row reads them.
+
+The stop rule is screened. Q^H and Y = Q^H U^H do not depend on the
+weighting, and Delta U = c_f V U - Q^H (U^H U = I), so the final-stage gain
+has the closed form
+  c_f = (w_f <V, Y> + (1 - w_f) <V U, Q^H>) / (w_f ||V||^2 + (1 - w_f) ||V U||^2)
+from the V U and Q^H the evaluation already holds. With M = c_f V U - Q^H
+and G = M^H M, delta_U^2 = lambda_max(G) >= tr(G^2) / tr(G), so
+||G||_F^2 > tau^2 ||M||_F^2 proves delta_U > tau in O(L^2) work beyond
+the entries of V. tau carries a relative margin of 1e-9 and an absolute
+one of 1e-10 (|c_f| ||V||_F + 1) for the rounding between M and the full
+rule's Delta U. Only a state the screen cannot reject goes on to the full
+rule (the gain through W^2, an SVD, then rho), so every stop decision is
+the full rule's.
 
 Every optimizer evaluation and every calibration takes one path: Q, then
 c, concentrated under a W^2 matrix (the identity at w_perp = 1). The bare
@@ -68,7 +80,7 @@ from scipy.optimize import minimize
 from . import matio
 from .bounds import mse_ratio_bound, noise_inflation, relative_mismatch, subspace_mismatch
 from .errors import ConditioningError, ConfigurationError, OptimizationError
-from .multiport import SimNetwork, load_reactance_slope
+from .multiport import SimNetwork
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,8 @@ class _EvalState:
     """Everything derivable from one factorization at the current eta.
 
     The delta metrics are computed from the residual on first read: within
-    a stage before the last, only a trace row reads them."""
+    a stage before the last, only a trace row reads them. ``vu`` and
+    ``q_h`` are None on the bare objective's state, which has no rotation."""
 
     objective: float
     v: np.ndarray
@@ -157,6 +170,8 @@ class _EvalState:
     delta: np.ndarray  # c V - (U Q)^H
     u: np.ndarray
     b: np.ndarray  # T @ C_out^T, reused by the gradient's adjoint pass
+    vu: Optional[np.ndarray] = None
+    q_h: Optional[np.ndarray] = None
 
     @cached_property
     def delta_u(self) -> float:
@@ -185,45 +200,45 @@ def _gain(v: np.ndarray, y: np.ndarray, w2: np.ndarray) -> complex:
 
 def _mismatch(
     v: np.ndarray, u: np.ndarray, w2: np.ndarray
-) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Concentrate the unitary Q^H, then the gain c, and form the residual
-    Delta = c V - Q^H U^H: returns (c, Q^H, Q^H U^H, Delta).
+    Delta = c V - Q^H U^H: returns (c, Q^H, Q^H U^H, Delta, V U).
 
     Q^H is the polar factor P of V U = P H, whatever the weighting. Because
     U^H W^2 = U^H, the gain that follows is tr(H) / tr(W^2 V^H V), real and
     positive, so a further rotation step would return the same P: one round
     of the gain/rotation alternation is its fixed point.
     """
-    left, _, right = np.linalg.svd(v @ u)
+    vu = v @ u
+    left, _, right = np.linalg.svd(vu)
     q_h = left @ right  # unitary closest to V U
     y = q_h @ u.conj().T
     c = _gain(v, y, w2)
     delta = c * v - y
     if not np.isfinite(delta).all():
         raise OptimizationError("projection mismatch is not finite")
-    return c, q_h, y, delta
+    return c, q_h, y, delta, vu
 
 
 def _evaluate(net: SimNetwork, u: np.ndarray, w2: np.ndarray) -> _EvalState:
     b = net.solve(net.c_out.T)  # adjoint pass, M columns
     v = b[net.input_port_indices(), :].T
-    c, _, y, delta = _mismatch(v, u, w2)
+    c, q_h, y, delta, vu = _mismatch(v, u, w2)
     obj = float(np.real(np.trace(w2 @ delta.conj().T @ delta)))
     if not np.isfinite(obj):
         raise OptimizationError("objective is not finite")
-    return _EvalState(obj, v, c, y, delta, u, b)
+    return _EvalState(obj, v, c, y, delta, u, b, vu, q_h)
 
 
 def _gradient_from_state(net: SimNetwork, state: _EvalState, w2: np.ndarray) -> np.ndarray:
-    residual = (state.scale * state.v - state.target_eff) @ w2
+    residual = state.delta @ w2
     # forward pass, M columns: E_in R^H, R^H scattered onto the input ports
     rhs = np.zeros((net.n_ports, residual.shape[0]), dtype=complex, order="F")
     rhs[net.input_port_indices()] = residual.conj().T
     p = net.solve(rhs)
     w = (p * state.b).sum(axis=1)  # diag of (T E_in) R^H (C_out T)
     w_cell = w[0::2] + w[1::2]
-    slope = load_reactance_slope(net.eta, net.x0)
-    return -2.0 * slope * np.real(1j * state.scale * w_cell)
+    return -2.0 * net.reactance_slope() * np.real(1j * state.scale * w_cell)
 
 
 # -- spec surface: bare objective and gradient --------------------------------
@@ -305,34 +320,45 @@ class _TargetMet(Exception):
         self.x = x
 
 
-def _final_delta_u(
-    state: _EvalState,
-    u: np.ndarray,
-    w2: np.ndarray,
-    final_w2: np.ndarray,
-) -> float:
+def _final_delta_u(state: _EvalState, w2: np.ndarray, final_w2: np.ndarray) -> float:
     """delta_U of the state's V under the final-stage weighting. Q^H and
     Y = Q^H U^H do not depend on the weighting, so a state evaluated at an
     earlier stage's W^2 only needs the gain c again."""
     if w2 is final_w2:
         return state.delta_u
     c = _gain(state.v, state.target_eff, final_w2)
-    return subspace_mismatch(c * state.v - state.target_eff, u)
+    return subspace_mismatch(c * state.v - state.target_eff, state.u)
+
+
+def _misses_target(state: _EvalState, w_perp: float, tau: float) -> bool:
+    """The stop rule's screen: True only when delta_U under complement
+    weight ``w_perp`` provably exceeds ``tau`` (module docstring)."""
+    v, vu, q_h = state.v, state.vu, state.q_h
+    v_sq = np.vdot(v, v).real
+    den = w_perp * v_sq + (1.0 - w_perp) * np.vdot(vu, vu).real
+    if den == 0.0:
+        return False
+    c = (w_perp * np.vdot(v, state.target_eff) + (1.0 - w_perp) * np.vdot(vu, q_h)) / den
+    m = c * vu - q_h
+    g = m.conj().T @ m
+    # the rounding of M against the full rule's Delta U is relative to |c| ||V||
+    slack = 1e-10 * (abs(c) * np.sqrt(v_sq) + 1.0)
+    return np.vdot(g, g).real > (tau * (1.0 + 1e-9) + slack) ** 2 * np.vdot(m, m).real
 
 
 def _meets_target(
-    state: _EvalState,
-    u: np.ndarray,
-    w2: np.ndarray,
-    final_w2: np.ndarray,
-    target_delta_u: float,
+    state: _EvalState, w2: np.ndarray, final_w2: np.ndarray, cfg: OptimizerConfig
 ) -> bool:
     """The stop rule: delta_U under the final-stage weighting within the
     target, and the RS-LS noise inflation within the MSE ratio bound the
-    target implies."""
+    target implies. The screen rejects most states before the gain under
+    W^2 and the SVD."""
+    tau = cfg.target_delta_u
+    if _misses_target(state, cfg.complement_weights[-1], tau):
+        return False
     return (
-        _final_delta_u(state, u, w2, final_w2) <= target_delta_u
-        and noise_inflation(state.v, u) <= mse_ratio_bound(target_delta_u)
+        _final_delta_u(state, w2, final_w2) <= tau
+        and noise_inflation(state.v, state.u) <= mse_ratio_bound(tau)
     )
 
 
@@ -359,7 +385,7 @@ def _lbfgs_stage(
         except ConditioningError:
             memo["x"] = None
             return 1e9, np.zeros_like(x)
-        if _meets_target(state, u, w2, final_w2, cfg.target_delta_u):
+        if _meets_target(state, w2, final_w2, cfg):
             raise _TargetMet(x.copy())
         memo["x"], memo["state"] = x.copy(), state
         return state.objective, _gradient_from_state(net, state, w2)
@@ -459,7 +485,7 @@ def calibrate_projection(v: np.ndarray, u: np.ndarray, w_perp: float) -> Calibra
     annealing schedule, the weighting its stop rule measures under."""
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    c, q_h, _, _ = _mismatch(v, u, _weight_matrix(u, w_perp))
+    c, q_h, *_ = _mismatch(v, u, _weight_matrix(u, w_perp))
     return CalibratedProjection(v_scaled=c * v, u_basis=u @ q_h.conj().T, scale=c)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simloc import multiport
 from simloc.bounds import mismatch_metrics
 from simloc.errors import ConditioningError, ConfigurationError
 from simloc.geometry import GeometryConfig, build_sim_geometry
@@ -223,6 +224,48 @@ class TestTransferMatrix:
         np.testing.assert_array_equal(got, fresh.solve(rhs))
         direct = np.linalg.solve(net.total_impedance(), rhs)
         assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cached_one_norm_equals_dense_norm(self, seed):
+        net = _cached_network()
+        net.set_eta(np.random.default_rng(seed).uniform(-np.pi, np.pi, net.n_cells))
+        z = net.total_impedance()
+        expected = np.linalg.norm(z, 1)
+        assert abs(net._one_norm(np.diag(z)) - expected) <= 1e-13 * expected
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_unchanged_phases_keep_the_factorization(self, monkeypatch):
+        calls = {"n": 0}
+        lu_factor = multiport.sla.lu_factor
+
+        def counting_lu_factor(*args, **kwargs):
+            calls["n"] += 1
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(multiport.sla, "lu_factor", counting_lu_factor)
+        net = desk_network(k_y=4, layers=2, m=2)
+        eta = np.random.default_rng(4).uniform(-3.0, 3.0, net.n_cells)
+        rhs = np.eye(net.n_ports)
+        net.set_eta(eta)
+        first = net.solve(rhs)
+        net.set_eta(eta.copy())
+        net.set_eta(net.eta)
+        np.testing.assert_array_equal(net.solve(rhs), first)
+        assert calls["n"] == 1
+        eta[0] = np.nextafter(eta[0], 4.0)
+        net.set_eta(eta)
+        net.solve(rhs)
+        assert calls["n"] == 2
+        # a failed factorization leaves nothing cached: the same phases
+        # factorize, and fail, again
+        z = np.diag([0j, 50.0, 50.0, 50.0])
+        singular = SimNetwork(z, np.ones((1, 4), dtype=complex), 2, 2)
+        for expected_calls in (3, 4):
+            singular.set_eta(np.zeros(2))
+            with pytest.raises(ConditioningError):
+                singular.solve(np.ones(4, dtype=complex))
+            assert calls["n"] == expected_calls
 
     def test_reciprocity_of_t(self):
         net = desk_network(k_y=4, layers=2, m=2, seed=1)

@@ -14,7 +14,6 @@ from simloc.multiport import (
     build_sim_network,
     effective_projection_matrix,
     input_embedding,
-    load_reactance_slope,
 )
 from simloc.simopt import (
     OptimizerConfig,
@@ -24,6 +23,7 @@ from simloc.simopt import (
     _gradient_from_state,
     _meets_target,
     _mismatch,
+    _misses_target,
     _weight_matrix,
     calibrate_projection,
     finite_difference_gradient,
@@ -88,7 +88,7 @@ def _gain_only_reference(net, target):
     rhs[net.input_port_indices()] = delta.conj().T
     p = net.solve(rhs)
     w = (p * b).sum(axis=1)
-    slope = load_reactance_slope(net.eta, net.x0)
+    slope = net.reactance_slope()
     return obj, -2.0 * slope * np.real(1j * c * (w[0::2] + w[1::2]))
 
 
@@ -164,7 +164,7 @@ class TestGradient:
         residual = (state.scale * state.v - state.target_eff) @ w2
         p = net.solve(input_embedding(net)) @ residual.conj().T
         w = (p * state.b).sum(axis=1)
-        slope = load_reactance_slope(net.eta, net.x0)
+        slope = net.reactance_slope()
         ref = -2.0 * slope * np.real(1j * state.scale * (w[0::2] + w[1::2]))
         g = _gradient_from_state(net, state, w2)
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -184,7 +184,7 @@ class TestGradient:
         residual = (state.scale * state.v - state.target_eff) @ w2
         p = net.solve(input_embedding(net) @ residual.conj().T)
         w = (p * state.b).sum(axis=1)
-        slope = load_reactance_slope(net.eta, net.x0)
+        slope = net.reactance_slope()
         ref = -2.0 * slope * np.real(1j * state.scale * (w[0::2] + w[1::2]))
         np.testing.assert_array_equal(_gradient_from_state(net, state, w2), ref)
 
@@ -347,12 +347,13 @@ class TestConcentrate:
         if zero_v:
             v = np.zeros_like(v)
         w2 = _weight_matrix(u, w_perp)
-        c, q_h, y, delta = _mismatch(v, u, w2)
+        c, q_h, y, delta, vu = _mismatch(v, u, w2)
         c_ref, q_h_ref = _concentrate_eight_rounds(v, u, w2)
         assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
         assert np.linalg.norm(q_h - q_h_ref) <= 1e-12 * np.linalg.norm(q_h_ref)
         np.testing.assert_array_equal(y, q_h @ u.conj().T)
         np.testing.assert_array_equal(delta, c * v - y)
+        np.testing.assert_array_equal(vu, v @ u)
 
 
 class TestNoiseInflation:
@@ -379,8 +380,8 @@ class TestNoiseInflation:
 
 def _state_at(v, u, w2):
     """The evaluation state the optimizer holds for V at stage weight W^2."""
-    c, _, y, delta = _mismatch(v, u, w2)
-    return _EvalState(0.0, v, c, y, delta, u, None)
+    c, q_h, y, delta, vu = _mismatch(v, u, w2)
+    return _EvalState(0.0, v, c, y, delta, u, None, vu, q_h)
 
 
 class TestStopRule:
@@ -402,8 +403,9 @@ class TestStopRule:
         assert noise_inflation(v, u) == pytest.approx(1.5, rel=1e-12)
         # states held at an unweighted stage, re-measured under the final one
         w2 = _weight_matrix(u, 1.0)
-        assert not _meets_target(_state_at(v, u, w2), u, w2, final_w2, tau)
-        assert _meets_target(_state_at(u.conj().T, u, w2), u, w2, final_w2, tau)
+        cfg = OptimizerConfig(target_delta_u=tau, complement_weights=(1.0, 0.2))
+        assert not _meets_target(_state_at(v, u, w2), w2, final_w2, cfg)
+        assert _meets_target(_state_at(u.conj().T, u, w2), w2, final_w2, cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -424,4 +426,45 @@ class TestStopRule:
         final_w2 = stage_w2[-1]
         expected = subspace_mismatch(_mismatch(v, u, final_w2)[3], u)
         for w2 in stage_w2:
-            assert _final_delta_u(_state_at(v, u, w2), u, w2, final_w2) == expected
+            assert _final_delta_u(_state_at(v, u, w2), w2, final_w2) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 24),
+        l=st.integers(1, 6),
+        schedule=st.sampled_from([(0.0, 0.1, 0.2), (0.0, 0.5, 1.0), (0.3,), (1.0, 0.0)]),
+        log_eps=st.floats(-4.0, 1.0),
+        tau_factor=st.one_of(
+            st.sampled_from([1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6]),
+            st.floats(0.0, 2.0),
+        ),
+    )
+    def test_screen_never_rejects_a_state_the_full_rule_accepts(
+        self, seed, k, l, schedule, log_eps, tau_factor
+    ):
+        # V is a scaled, rotated U^H plus a perturbation of size eps; tau sits
+        # at a multiple of the final-stage delta_U, just above or below it too
+        l = min(l, k)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
+        q, _ = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
+        gain = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        noise = rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
+        v = gain * (q @ u.conj().T + 10.0**log_eps * noise / np.linalg.norm(noise))
+        stage_w2 = [_weight_matrix(u, w_perp) for w_perp in schedule]
+        final_w2 = stage_w2[-1]
+        delta_u = _final_delta_u(_state_at(v, u, final_w2), final_w2, final_w2)
+        tau = delta_u * tau_factor
+        cfg = OptimizerConfig(target_delta_u=tau, complement_weights=schedule)
+        for w2 in stage_w2:
+            state = _state_at(v, u, w2)
+            full = _final_delta_u(state, w2, final_w2) <= tau and noise_inflation(
+                v, u
+            ) <= mse_ratio_bound(tau)
+            assert _meets_target(state, w2, final_w2, cfg) == full
+            if _misses_target(state, schedule[-1], tau):
+                assert _final_delta_u(state, w2, final_w2) > tau
+            # lambda_max <= L tr(G^2) / tr(G): far enough above tau, it rejects
+            if delta_u > 1e-4 and tau < delta_u / np.sqrt(l) * (1.0 - 1e-3):
+                assert _misses_target(state, schedule[-1], tau)

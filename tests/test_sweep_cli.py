@@ -31,7 +31,8 @@ from simloc.simopt import calibrate_projection
 from simloc.sweep import (
     RECORD_HEADER,
     _cell_seed,
-    _localizer_rmse,
+    _localizer_draws,
+    _rmse,
     load_records,
     plot_tables,
     run_cell,
@@ -237,7 +238,31 @@ class TestLocalizerRmse:
             p_hat, _ = localize(h + noise, geom, region, cfg.localizer)
             sq[t] = float(np.sum((p_hat - center) ** 2))
         expected = (float(np.sqrt(sq.mean())), float(sq.std(ddof=1) / np.sqrt(trials)))
-        assert _localizer_rmse(geom, region, cfg, sigma_n2, trials, seed) == expected
+        h_hat = _localizer_draws(geom, region, cfg, sigma_n2, trials, seed)
+        p_hats, _ = localize(h_hat, geom, region, cfg.localizer)
+        assert _rmse(p_hats, center) == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(2, 40),
+        log_sigmas=st.lists(st.floats(-5.0, 0.0), min_size=4, max_size=4),
+    )
+    def test_one_cell_call_equals_per_batch_calls(self, seed, trials, log_sigmas):
+        # run_cell localizes its (SNR, tag) batches in one call; each batch's
+        # rows come out as they do from a call of their own
+        cfg = tiny_scenario()
+        geom, _ = build_sim_geometry(cfg.geometry)
+        region = region_at(0.25, 0.3, 0.15)
+        batches = [
+            _localizer_draws(geom, region, cfg, 10.0**log_sigma, trials, seed + i)
+            for i, log_sigma in enumerate(log_sigmas)
+        ]
+        p_all, s_all = localize(np.concatenate(batches), geom, region, cfg.localizer)
+        for i, batch in enumerate(batches):
+            p_one, s_one = localize(batch, geom, region, cfg.localizer)
+            np.testing.assert_array_equal(p_all[i * trials : (i + 1) * trials], p_one)
+            np.testing.assert_array_equal(s_all[i * trials : (i + 1) * trials], s_one)
 
 
 class TestRecordsIo:
@@ -293,6 +318,18 @@ class TestCli:
         assert report["elements"] == 8
         u = load_complex_matrix(out1 / "subspace_u.cmat")
         assert u.shape == (8, 3)
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["is-a-file", "parent-is-a-file"])
+    def test_out_dir_through_a_file_is_config_error(self, tmp_path, capsys, sub):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_SMALL_SCENARIO))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / sub if sub else taken
+        assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
