@@ -119,7 +119,7 @@ def cmd_optimize_sim(args) -> int:
         sim_geom, rx_geom, _, u, _ = _point_model(cfg)
 
     net = build_network(cfg, sim_geom, rx_geom)
-    trace = optimize_multistart(net, u.conj().T, cfg.optimizer, restarts=cfg.optimizer_restarts)
+    trace = optimize_multistart(net, u.conj().T, cfg.optimizer)
     trace.to_csv(out / "trace.csv")
     matio.save_real_vector(out / "eta.rvec", trace.final_eta)
     cal = calibrated_surface(cfg, net, u)

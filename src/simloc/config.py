@@ -3,8 +3,16 @@
 Scenarios are JSON files with one object per block (geometry, region, gain,
 reduction, noise, covariance, impedance, optimizer, localizer, sweep). Keys
 starting with an underscore are ignored everywhere, so files can carry
-comments. Validation is strict: unknown keys, mistyped values and
-out-of-range values fail with the offending key named.
+comments.
+
+One block reader checks a block's keys against the table ``_BLOCKS`` of key
+-> kind and returns only the keys the file sets; the block then becomes its
+dataclass (``GainModel(**block)``). So every default lives on that
+dataclass and every range check in its ``__post_init__``; only
+``noise.snr_db``, ``impedance.provider`` and ``sweep.distances_m`` (the
+region distance) default here. Unknown keys, mistyped values (null where a
+number is due among them) and out-of-range values fail with the key named;
+a null list, pair or string means the key is absent.
 
 Two presets ship with the package: ``desk-scale`` (16x1 elements, 3 layers,
 4 outputs), small enough for per-cell surface optimization in tests, and
@@ -18,7 +26,7 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,14 +38,18 @@ from .simopt import OptimizerConfig
 
 PRESETS = ("desk-scale", "paper-scale")
 
-_DEFAULT_BEARINGS = (0.0, np.pi / 6, np.pi / 3)
-
 
 @dataclass(frozen=True)
 class RegionConfig:
     distance_m: float
-    bearing_rad: float
     diameter_m: float
+    bearing_rad: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.distance_m <= 0:
+            raise ConfigurationError("region.distance_m must be positive")
+        if self.diameter_m < 0:
+            raise ConfigurationError("region.diameter_m must be nonnegative")
 
     def build(self) -> UncertaintyRegion:
         return region_at(self.distance_m, self.bearing_rad, self.diameter_m)
@@ -49,11 +61,15 @@ class CovarianceConfig:
     rank_threshold: float = 1e-6
     seed: int = 1234
 
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ConfigurationError("covariance.samples must be positive")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     distances_m: Tuple[float, ...]
-    bearings_rad: Tuple[float, ...] = _DEFAULT_BEARINGS
+    bearings_rad: Tuple[float, ...] = (0.0, np.pi / 6, np.pi / 3)
     snr_db: Optional[Tuple[float, ...]] = None  # defaults to the noise block
     trials: int = 2000
     seed: int = 7
@@ -84,9 +100,14 @@ class ScenarioConfig:
     impedance: ImpedanceParams
     impedance_file: Optional[str]
     optimizer: OptimizerConfig
-    optimizer_restarts: int
     localizer: LocalizerConfig
     sweep: SweepConfig
+
+    def __post_init__(self) -> None:
+        if self.outputs < 1:
+            raise ConfigurationError("reduction.outputs must be at least 1")
+        if not self.snr_db:
+            raise ConfigurationError("noise.snr_db must not be empty")
 
     @property
     def target_delta_u(self) -> float:
@@ -99,28 +120,11 @@ class ScenarioConfig:
         return self.gain.mean_square_gain * 10.0 ** (-snr_db / 10.0)
 
 
-def _check_keys(block: dict, allowed: Sequence[str], where: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"{where} must be an object")
-    for key in block:
-        if key.startswith("_"):
-            continue
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {where}.{key}")
-
-
-def _get(block: dict, key: str, default=None, required=False, where=""):
-    if key in block and block[key] is not None:
-        return block[key]
-    if required:
-        raise ConfigurationError(f"missing required key {where}.{key}")
-    return default
-
-
 def _number(value, kind: type, where: str):
     """``kind(value)``, kind int or float, for a JSON number. Anything else
-    (null, a boolean, a string, a list, or a fraction where an integer is
-    due) raises ConfigurationError naming the key."""
+    (null, a boolean, a string, a list, a fraction where an integer is due,
+    or an integer too large for a float) raises ConfigurationError naming
+    the key."""
     if kind is int:
         ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     else:
@@ -128,217 +132,118 @@ def _number(value, kind: type, where: str):
     if isinstance(value, bool) or not ok:
         expected = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{where} must be {expected}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigurationError(f"{where} is out of range, got {value!r}") from None
 
 
-def _read(block: dict, key: str, kind: type, where: str, default=None, required=False):
-    """``block[key]`` through :func:`_number`; an absent key gives ``default``."""
-    if key not in block:
-        if required:
-            raise ConfigurationError(f"missing required key {where}.{key}")
-        return default
-    return _number(block[key], kind, f"{where}.{key}")
+def _value(value, kind: type, where: str):
+    """``value`` read as ``kind``: int, float, complex (a number or an
+    [re, im] pair), str, or tuple (a list of numbers). A null pair, string
+    or list reads as None, an absent key."""
+    if kind in (int, float):
+        return _number(value, kind, where)
+    if value is None or (kind is str and isinstance(value, str)):
+        return value
+    if kind is complex and isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_number(value[0], float, where), _number(value[1], float, where))
+    if kind is complex and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return complex(_number(value, float, where))
+    if kind is tuple and isinstance(value, (list, tuple)):
+        return tuple(_number(x, float, f"{where}[{i}]") for i, x in enumerate(value))
+    expected = {str: "a string", complex: "a number or [re, im] pair", tuple: "a list of numbers"}
+    raise ConfigurationError(f"{where} must be {expected[kind]}, got {value!r}")
 
 
-def _read_list(block: dict, key: str, kind: type, where: str, default) -> Optional[tuple]:
-    """``block[key]`` as a tuple of numbers; an absent or null key gives
-    ``default`` (None stays None)."""
-    raw = _get(block, key, default=default)
-    if raw is None:
-        return None
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigurationError(f"{where}.{key} must be a list of numbers, got {raw!r}")
-    return tuple(_number(x, kind, f"{where}.{key}[{i}]") for i, x in enumerate(raw))
+# key -> kind of every block
+_BLOCKS = {
+    "geometry": {
+        "k_y": int, "k_z": int, "layers": int, "carrier_frequency_hz": float,
+        "element_spacing_m": float, "layer_spacing_m": float,
+        "receiver_spacing_m": float, "receiver_offset_m": float,
+    },
+    "region": {"distance_m": float, "bearing_rad": float, "diameter_m": float},
+    "gain": {"shadowing_std_db": float, "mean_gain": float},
+    "reduction": {"outputs": int, "target_delta_u": float},
+    "noise": {"snr_db": tuple},
+    "covariance": {"samples": int, "rank_threshold": float, "seed": int},
+    "impedance": {
+        "provider": str, "file": str, "z_self": complex, "beta": float, "gamma": complex,
+        "x0": float, "port_offset_wavelengths": float,
+    },
+    "optimizer": {"max_iters": int, "complement_weights": tuple, "restarts": int, "seed": int},
+    "localizer": {"coarse_grid": int},
+    "sweep": {
+        "distances_m": tuple, "bearings_rad": tuple, "snr_db": tuple, "trials": int,
+        "seed": int, "workers": int, "sim": str,
+    },
+}
 
 
-def _positive(value, where):
-    if value is None:
-        return None
-    if value <= 0:
-        raise ConfigurationError(f"{where} must be positive")
-    return value
+def _keys(block, allowed: Iterable[str], where: str) -> dict:
+    """``block``'s items without the underscore keys; an unknown key, or a
+    block that is not an object, raises ConfigurationError."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be an object")
+    items = {key: value for key, value in block.items() if not key.startswith("_")}
+    for key in items:
+        if key not in allowed:
+            raise ConfigurationError(f"unknown key {where}.{key}")
+    return items
 
 
-def _complex_field(raw, where) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return complex(_number(raw[0], float, where), _number(raw[1], float, where))
-    raise ConfigurationError(f"{where} must be a number or [re, im] pair")
+def _block(doc: dict, name: str, required: Sequence[str] = ()) -> dict:
+    """The keys block ``name`` sets, each read as its kind in ``_BLOCKS``.
+    An absent or null block sets no key."""
+    kinds = _BLOCKS[name]
+    raw = doc.get(name)
+    items = _keys({} if raw is None else raw, kinds, name)
+    block = {}
+    for key, value in items.items():
+        value = _value(value, kinds[key], f"{name}.{key}")
+        if value is not None:
+            block[key] = value
+    for key in required:
+        if key not in block:
+            raise ConfigurationError(f"missing required key {name}.{key}")
+    return block
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
-    _check_keys(
-        doc,
-        [
-            "geometry",
-            "region",
-            "gain",
-            "reduction",
-            "noise",
-            "covariance",
-            "impedance",
-            "optimizer",
-            "localizer",
-            "sweep",
-        ],
-        "config",
-    )
+    _keys(doc, _BLOCKS, "config")
+    geometry = _block(doc, "geometry", ("k_y", "k_z", "layers", "carrier_frequency_hz"))
+    reduction = _block(doc, "reduction", ("outputs",))
+    region = RegionConfig(**_block(doc, "region", ("distance_m", "diameter_m")))
 
-    geo = _get(doc, "geometry", required=True, where="config")
-    _check_keys(
-        geo,
-        [
-            "k_y",
-            "k_z",
-            "layers",
-            "carrier_frequency_hz",
-            "element_spacing_m",
-            "layer_spacing_m",
-            "receiver_spacing_m",
-            "receiver_offset_m",
-        ],
-        "geometry",
-    )
-    reduction = _get(doc, "reduction", default={}, where="config")
-    _check_keys(reduction, ["outputs", "target_delta_u"], "reduction")
-    outputs = _read(reduction, "outputs", int, "reduction", required=True)
-    target_delta_u = _read(reduction, "target_delta_u", float, "reduction", default=0.1)
-    if outputs < 1:
-        raise ConfigurationError("reduction.outputs must be at least 1")
-    if target_delta_u < 0:
-        raise ConfigurationError("reduction.target_delta_u must be nonnegative")
-
-    def length(key):
-        return _positive(_read(geo, key, float, "geometry"), f"geometry.{key}")
-
-    geometry = GeometryConfig(
-        k_y=_read(geo, "k_y", int, "geometry", required=True),
-        k_z=_read(geo, "k_z", int, "geometry", required=True),
-        layers=_read(geo, "layers", int, "geometry", required=True),
-        carrier_frequency_hz=_positive(
-            _read(geo, "carrier_frequency_hz", float, "geometry", required=True),
-            "geometry.carrier_frequency_hz",
-        ),
-        receiver_elements=outputs,
-        element_spacing=length("element_spacing_m"),
-        layer_spacing=length("layer_spacing_m"),
-        receiver_spacing=length("receiver_spacing_m"),
-        receiver_offset=length("receiver_offset_m"),
-    )
-
-    reg = _get(doc, "region", required=True, where="config")
-    _check_keys(reg, ["distance_m", "bearing_rad", "diameter_m"], "region")
-    region = RegionConfig(
-        distance_m=_positive(
-            _read(reg, "distance_m", float, "region", required=True), "region.distance_m"
-        ),
-        bearing_rad=_read(reg, "bearing_rad", float, "region", default=0.0),
-        diameter_m=_read(reg, "diameter_m", float, "region", required=True),
-    )
-    if region.diameter_m < 0:
-        raise ConfigurationError("region.diameter_m must be nonnegative")
-
-    gain_block = _get(doc, "gain", default={}, where="config")
-    _check_keys(gain_block, ["shadowing_std_db", "mean_gain"], "gain")
-    gain = GainModel(
-        shadowing_std_db=_read(gain_block, "shadowing_std_db", float, "gain", default=3.0),
-        mean_gain=_read(gain_block, "mean_gain", float, "gain", default=1.0),
-    )
-
-    noise = _get(doc, "noise", default={}, where="config")
-    _check_keys(noise, ["snr_db"], "noise")
-    snr_db = _read_list(noise, "snr_db", float, "noise", default=[0.0, 10.0])
-    if not snr_db:
-        raise ConfigurationError("noise.snr_db must not be empty")
-
-    cov_block = _get(doc, "covariance", default={}, where="config")
-    _check_keys(cov_block, ["samples", "rank_threshold", "seed"], "covariance")
-    covariance = CovarianceConfig(
-        samples=_read(cov_block, "samples", int, "covariance", default=20000),
-        rank_threshold=_read(cov_block, "rank_threshold", float, "covariance", default=1e-6),
-        seed=_read(cov_block, "seed", int, "covariance", default=1234),
-    )
-    if covariance.samples < 1:
-        raise ConfigurationError("covariance.samples must be positive")
-
-    imp = _get(doc, "impedance", default={}, where="config")
-    _check_keys(
-        imp,
-        ["provider", "z_self", "beta", "gamma", "x0", "port_offset_wavelengths", "file"],
-        "impedance",
-    )
-    provider = _get(imp, "provider", default="analytic")
+    impedance = _block(doc, "impedance")
+    provider = impedance.pop("provider", "analytic")
+    impedance_file = impedance.pop("file", None)
     if provider not in ("analytic", "file"):
         raise ConfigurationError("impedance.provider must be 'analytic' or 'file'")
-    impedance_file = _get(imp, "file")
     if provider == "file" and not impedance_file:
-        raise ConfigurationError("impedance.file is required for the file provider")
+        raise ConfigurationError("impedance.provider 'file' needs impedance.file")
     if provider != "file" and impedance_file is not None:
         raise ConfigurationError("impedance.file is only read by the 'file' provider")
-    impedance = ImpedanceParams(
-        z_self=_complex_field(_get(imp, "z_self", default=[73.0, 42.5]), "impedance.z_self"),
-        beta=_read(imp, "beta", float, "impedance", default=60.0),
-        gamma=_complex_field(_get(imp, "gamma", default=[20.0, 0.0]), "impedance.gamma"),
-        x0=_read(imp, "x0", float, "impedance", default=50.0),
-        port_offset_wavelengths=_read(
-            imp, "port_offset_wavelengths", float, "impedance", default=0.375
-        ),
-    )
 
-    opt = _get(doc, "optimizer", default={}, where="config")
-    _check_keys(opt, ["max_iters", "complement_weights", "restarts", "seed"], "optimizer")
-    optimizer = OptimizerConfig(
-        max_iters=_read(opt, "max_iters", int, "optimizer", default=4000),
-        target_delta_u=target_delta_u,
-        rng_seed=_read(opt, "seed", int, "optimizer", default=0),
-        complement_weights=_read_list(
-            opt, "complement_weights", float, "optimizer", default=[0.0, 0.1, 0.2]
-        ),
-    )
-    optimizer_restarts = _read(opt, "restarts", int, "optimizer", default=5)
-    if optimizer_restarts < 1:
-        raise ConfigurationError("optimizer.restarts must be positive")
-
-    loc = _get(doc, "localizer", default={}, where="config")
-    _check_keys(loc, ["coarse_grid"], "localizer")
-    localizer = LocalizerConfig(
-        coarse_grid=_read(loc, "coarse_grid", int, "localizer", default=64)
-    )
-
-    sweep_block = _get(doc, "sweep", default={}, where="config")
-    _check_keys(
-        sweep_block,
-        ["distances_m", "bearings_rad", "snr_db", "trials", "seed", "workers", "sim"],
-        "sweep",
-    )
-    sweep = SweepConfig(
-        distances_m=_read_list(
-            sweep_block, "distances_m", float, "sweep", default=[region.distance_m]
-        ),
-        bearings_rad=_read_list(
-            sweep_block, "bearings_rad", float, "sweep", default=list(_DEFAULT_BEARINGS)
-        ),
-        snr_db=_read_list(sweep_block, "snr_db", float, "sweep", default=None),
-        trials=_read(sweep_block, "trials", int, "sweep", default=2000),
-        seed=_read(sweep_block, "seed", int, "sweep", default=7),
-        workers=_read(sweep_block, "workers", int, "sweep", default=1),
-        sim=_get(sweep_block, "sim", default="optimize"),
-    )
+    optimizer = _block(doc, "optimizer")
+    if "seed" in optimizer:
+        optimizer["rng_seed"] = optimizer.pop("seed")
+    if "target_delta_u" in reduction:
+        optimizer["target_delta_u"] = reduction["target_delta_u"]
 
     return ScenarioConfig(
-        geometry=geometry,
+        geometry=GeometryConfig(**geometry, receiver_elements=reduction["outputs"]),
         region=region,
-        gain=gain,
-        outputs=outputs,
-        snr_db=snr_db,
-        covariance=covariance,
-        impedance=impedance,
+        gain=GainModel(**_block(doc, "gain")),
+        outputs=reduction["outputs"],
+        snr_db=_block(doc, "noise").get("snr_db", (0.0, 10.0)),
+        covariance=CovarianceConfig(**_block(doc, "covariance")),
+        impedance=ImpedanceParams(**impedance),
         impedance_file=impedance_file,
-        optimizer=optimizer,
-        optimizer_restarts=optimizer_restarts,
-        localizer=localizer,
-        sweep=sweep,
+        optimizer=OptimizerConfig(**optimizer),
+        localizer=LocalizerConfig(**_block(doc, "localizer")),
+        sweep=SweepConfig(**{"distances_m": (region.distance_m,), **_block(doc, "sweep")}),
     )
 
 
@@ -348,7 +253,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigurationError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or not UTF-8
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     cfg = parse_config(doc)
     if cfg.impedance_file is not None:

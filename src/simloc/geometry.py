@@ -22,9 +22,10 @@ SPEED_OF_LIGHT = 299792458.0
 class GeometryConfig:
     """Dimensions and spacings of the layered receiver front end.
 
-    ``element_spacing``, ``layer_spacing``, ``receiver_spacing`` and
-    ``receiver_offset`` default to half a wavelength, half a wavelength,
+    ``element_spacing_m``, ``layer_spacing_m``, ``receiver_spacing_m`` and
+    ``receiver_offset_m`` default to half a wavelength, half a wavelength,
     half a wavelength and one wavelength respectively when left ``None``.
+    The carrier frequency and any length given must be positive.
     """
 
     k_y: int
@@ -32,10 +33,17 @@ class GeometryConfig:
     layers: int
     carrier_frequency_hz: float
     receiver_elements: int = 1
-    element_spacing: Optional[float] = None
-    layer_spacing: Optional[float] = None
-    receiver_spacing: Optional[float] = None
-    receiver_offset: Optional[float] = None
+    element_spacing_m: Optional[float] = None
+    layer_spacing_m: Optional[float] = None
+    receiver_spacing_m: Optional[float] = None
+    receiver_offset_m: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for key in ("carrier_frequency_hz", "element_spacing_m", "layer_spacing_m",
+                    "receiver_spacing_m", "receiver_offset_m"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"geometry.{key} must be positive")
 
     @property
     def wavelength(self) -> float:
@@ -113,24 +121,20 @@ def build_sim_geometry(config: GeometryConfig) -> Tuple[ArrayGeometry, ArrayGeom
     """Build the layered surface and the receiver array behind it.
 
     Returns ``(surface, receiver)``. The surface input layer is centered at
-    the origin in the y-z plane; layer q sits at x = q * layer_spacing. The
-    receiver is a uniform linear array along y placed ``receiver_offset``
+    the origin in the y-z plane; layer q sits at x = q * layer_spacing_m. The
+    receiver is a uniform linear array along y placed ``receiver_offset_m``
     beyond the last layer.
     """
     if config.k_y < 1 or config.k_z < 1 or config.layers < 1:
         raise ConfigurationError("k_y, k_z and layers must all be >= 1")
     if config.receiver_elements < 1:
         raise ConfigurationError("receiver_elements must be >= 1")
-    if config.carrier_frequency_hz <= 0:
-        raise ConfigurationError("carrier frequency must be positive")
 
     lam = config.wavelength
-    spacing = lam / 2.0 if config.element_spacing is None else config.element_spacing
-    layer_spacing = lam / 2.0 if config.layer_spacing is None else config.layer_spacing
-    rx_spacing = lam / 2.0 if config.receiver_spacing is None else config.receiver_spacing
-    rx_offset = lam if config.receiver_offset is None else config.receiver_offset
-    if spacing <= 0 or layer_spacing <= 0 or rx_spacing <= 0 or rx_offset <= 0:
-        raise ConfigurationError("spacings and receiver offset must be positive")
+    spacing = lam / 2.0 if config.element_spacing_m is None else config.element_spacing_m
+    layer_spacing = lam / 2.0 if config.layer_spacing_m is None else config.layer_spacing_m
+    rx_spacing = lam / 2.0 if config.receiver_spacing_m is None else config.receiver_spacing_m
+    rx_offset = lam if config.receiver_offset_m is None else config.receiver_offset_m
 
     k = config.k_y * config.k_z
     layers = [
@@ -229,12 +233,14 @@ class GainModel:
     deviation ``shadowing_std_db``.
     """
 
-    shadowing_std_db: float = 0.0
+    shadowing_std_db: float = 3.0
     mean_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.shadowing_std_db < 0 or self.mean_gain <= 0:
-            raise ConfigurationError("invalid gain model parameters")
+        if self.shadowing_std_db < 0:
+            raise ConfigurationError("gain.shadowing_std_db must be nonnegative")
+        if self.mean_gain <= 0:
+            raise ConfigurationError("gain.mean_gain must be positive")
 
     @property
     def mean_square_gain(self) -> float:

@@ -54,7 +54,7 @@ class LocalizerConfig:
 
     def __post_init__(self) -> None:
         if self.coarse_grid < 2:
-            raise ConfigurationError("need at least 2 grid points per axis")
+            raise ConfigurationError("localizer.coarse_grid must be at least 2")
 
 
 def _grid(center: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:

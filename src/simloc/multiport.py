@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 
 DEFAULT_Z_SELF = 73.0 + 42.5j  # half-wave-dipole-style self impedance, ohms
 DEFAULT_BETA = 60.0  # mutual coupling amplitude, ohms
-DEFAULT_GAMMA = 20.0  # intra-cell input/output coupling, ohms
+DEFAULT_GAMMA = 20.0 + 0j  # intra-cell input/output coupling, ohms
 DEFAULT_X0 = 50.0  # load reactance scale, ohms
 DEFAULT_PORT_OFFSET = 0.375  # input/output face separation, wavelengths
 COND_THRESHOLD = 1e12  # largest accepted condition number of Z_ss + Z_s(eta)
@@ -65,11 +65,11 @@ class ImpedanceParams:
 
     def __post_init__(self) -> None:
         if complex(self.z_self).real <= 0:
-            raise ConfigurationError("self impedance must have positive real part")
+            raise ConfigurationError("impedance.z_self must have a positive real part")
         if self.x0 <= 0:
-            raise ConfigurationError("load reactance scale must be positive")
+            raise ConfigurationError("impedance.x0 must be positive")
         if self.port_offset_wavelengths < 0:
-            raise ConfigurationError("port offset must be nonnegative")
+            raise ConfigurationError("impedance.port_offset_wavelengths must be nonnegative")
 
 
 def port_index(layer: int, element: int, side: str, elements_per_layer: int) -> int:

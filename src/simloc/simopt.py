@@ -92,22 +92,29 @@ class OptimizerConfig:
     (W^2 = I, gain and rotation still concentrated). ``max_iters`` caps the
     L-BFGS iterations of each stage, ``target_delta_u`` is the convergence
     threshold on the final delta_U and sets the stop rule, ``rng_seed``
-    draws the starting phases and ``trace_every`` keeps every n-th iterate
-    in the trace (0 turns it off). Out-of-range values raise
-    :class:`ConfigurationError`.
+    draws the starting phases, ``restarts`` is the number of seeds
+    :func:`optimize_multistart` tries, and ``trace_every`` keeps every n-th
+    iterate in the trace (0 turns it off). Out-of-range values raise
+    :class:`ConfigurationError` naming the scenario key (the target is
+    ``reduction.target_delta_u``).
     """
 
     max_iters: int = 4000
     target_delta_u: float = 0.1
     rng_seed: int = 0
     complement_weights: Tuple[float, ...] = (0.0, 0.1, 0.2)
+    restarts: int = 5
     trace_every: int = 1
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ConfigurationError("optimizer.max_iters must be at least 1")
         if self.target_delta_u < 0:
-            raise ConfigurationError("target_delta_u must be nonnegative")
+            raise ConfigurationError("reduction.target_delta_u must be nonnegative")
+        if self.restarts < 1:
+            raise ConfigurationError("optimizer.restarts must be at least 1")
+        if self.trace_every < 0:
+            raise ConfigurationError("optimizer.trace_every must be nonnegative")
         if not self.complement_weights:
             raise ConfigurationError("optimizer.complement_weights must not be empty")
         if not all(0.0 <= w <= 1.0 for w in self.complement_weights):
@@ -394,7 +401,7 @@ def _lbfgs_stage(
 
     def record(x: np.ndarray):
         count["n"] += 1
-        if (count["n"] - 1) % max(cfg.trace_every, 1) != 0:
+        if (count["n"] - 1) % cfg.trace_every != 0:
             return
         if memo["x"] is not None and np.array_equal(x, memo["x"]):
             state = memo["state"]
@@ -493,16 +500,16 @@ def optimize_multistart(
     net: SimNetwork,
     target: np.ndarray,
     cfg: OptimizerConfig,
-    restarts: int = 5,
 ) -> OptimizationTrace:
-    """Run :func:`optimize` from successive seeds, keep the best mismatch.
+    """Run :func:`optimize` from ``cfg.restarts`` successive seeds, keep the
+    best mismatch.
 
     Stops early at the first converged restart; otherwise returns the
     attempt with the smallest final delta_U (its eta left in the network).
     """
     best: Optional[OptimizationTrace] = None
     best_eta = None
-    for r in range(max(restarts, 1)):
+    for r in range(cfg.restarts):
         trace = optimize(net, target, replace(cfg, rng_seed=cfg.rng_seed + r))
         if best is None or trace.delta_u[-1] < best.delta_u[-1]:
             best = trace

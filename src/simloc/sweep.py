@@ -237,7 +237,7 @@ def run_cell(
         net = build_network(cfg, sim_geom, rx_geom)
         ocfg = cfg.optimizer
         ocfg = replace(ocfg, rng_seed=_cell_seed(ocfg.rng_seed, cell_index, 1), trace_every=0)
-        trace = optimize_multistart(net, u.conj().T, ocfg, restarts=cfg.optimizer_restarts)
+        trace = optimize_multistart(net, u.conj().T, ocfg)
     elif cfg.sweep.sim == "eta":
         if eta is None:
             raise ConfigurationError("sweep.sim = 'eta' requires a phase vector")

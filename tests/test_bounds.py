@@ -257,7 +257,7 @@ class TestFimPeb:
     def test_peb_monotone_with_distance(self):
         spacing = 0.32 / float(np.hypot(63.0, 3.0))
         cfg = GeometryConfig(
-            k_y=64, k_z=4, layers=7, carrier_frequency_hz=28e9, element_spacing=spacing
+            k_y=64, k_z=4, layers=7, carrier_frequency_hz=28e9, element_spacing_m=spacing
         )
         sim, _ = build_sim_geometry(cfg)
         pebs = []

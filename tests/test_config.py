@@ -1,14 +1,28 @@
 import json
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simloc.config import load_config, load_preset, parse_config
+from simloc.cli import main
+from simloc.config import (
+    _BLOCKS,
+    CovarianceConfig,
+    ScenarioConfig,
+    load_config,
+    load_preset,
+    parse_config,
+)
 from simloc.errors import ConfigurationError
-from simloc.geometry import build_sim_geometry
+from simloc.geometry import GainModel, build_sim_geometry
+from simloc.localizer import LocalizerConfig
+from simloc.multiport import ImpedanceParams
+from simloc.simopt import OptimizerConfig
 
 
 def minimal_doc():
@@ -28,6 +42,40 @@ class TestParseConfig:
         assert cfg.gain.shadowing_std_db == 3.0
         assert cfg.sweep.bearings_rad == pytest.approx((0.0, np.pi / 6, np.pi / 3))
         assert cfg.geometry.receiver_elements == 3
+
+    def test_minimal_document_blocks_are_dataclass_defaults(self):
+        # every default lives on the dataclass its block lands in
+        cfg = parse_config(minimal_doc())
+        assert cfg.gain == GainModel()
+        assert cfg.covariance == CovarianceConfig()
+        assert cfg.impedance == ImpedanceParams()
+        assert cfg.optimizer == OptimizerConfig()
+        assert cfg.localizer == LocalizerConfig()
+
+    def test_restarts_held_by_optimizer_settings(self):
+        doc = minimal_doc()
+        doc["optimizer"] = {"restarts": 2, "seed": 4}
+        cfg = parse_config(doc)
+        assert (cfg.optimizer.restarts, cfg.optimizer.rng_seed) == (2, 4)
+        for value in (0, -1):
+            doc["optimizer"]["restarts"] = value
+            with pytest.raises(ConfigurationError, match="optimizer.restarts"):
+                parse_config(doc)
+
+    def test_null_means_absent_only_for_lists_pairs_and_strings(self):
+        doc = minimal_doc()
+        doc["noise"] = {"snr_db": None}
+        doc["impedance"] = {"provider": None, "z_self": None, "file": None}
+        doc["sweep"] = {"distances_m": None, "sim": None}
+        cfg = parse_config(doc)
+        assert cfg.snr_db == (0.0, 10.0)
+        assert cfg.impedance == ImpedanceParams() and cfg.impedance_file is None
+        assert cfg.sweep.distances_m == (0.5,) and cfg.sweep.sim == "optimize"
+        for block, key in (("covariance", "samples"), ("region", "bearing_rad")):
+            doc = minimal_doc()
+            doc.setdefault(block, {})[key] = None
+            with pytest.raises(ConfigurationError, match=f"{block}.{key}"):
+                parse_config(doc)
 
     def test_unknown_key_named_in_error(self):
         for block, key in (
@@ -71,6 +119,21 @@ class TestParseConfig:
             ("noise", "snr_db", 5.0),
             ("sweep", "distances_m", [0.5, None]),
             ("optimizer", "complement_weights", [0.0, "0.2"]),
+            pytest.param("gain", "mean_gain", 10**400, id="gain-mean_gain-10**400"),
+            # out of range
+            ("geometry", "carrier_frequency_hz", 0.0),
+            ("geometry", "element_spacing_m", -1e-3),
+            ("region", "distance_m", 0.0),
+            ("region", "diameter_m", -0.1),
+            ("gain", "shadowing_std_db", -1.0),
+            ("gain", "mean_gain", 0.0),
+            ("reduction", "outputs", 0),
+            ("reduction", "target_delta_u", -0.1),
+            ("noise", "snr_db", []),
+            ("covariance", "samples", 0),
+            ("impedance", "z_self", [-1.0, 5.0]),
+            ("impedance", "x0", 0.0),
+            ("localizer", "coarse_grid", 1),
         ],
     )
     def test_mistyped_value_named_in_error(self, block, key, value):
@@ -120,6 +183,35 @@ class TestParseConfig:
             parse_config(doc)
 
 
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+_KNOWN_KEYS = [(block, key) for block, kinds in _BLOCKS.items() for key in kinds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(where=st.sampled_from(_KNOWN_KEYS), value=_JSON_VALUES)
+def test_any_value_at_any_key_parses_or_names_the_key(where, value):
+    block, key = where
+    doc = minimal_doc()
+    doc.setdefault(block, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = load_config(path)
+        except ConfigurationError as exc:
+            assert f"{block}.{key}" in str(exc)
+        else:
+            assert isinstance(cfg, ScenarioConfig)
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
@@ -165,6 +257,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="JSON"):
             load_config(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigurationError, match="JSON"):
+            load_config(path)
+
     def test_missing_impedance_file(self, tmp_path):
         doc = minimal_doc()
         doc["impedance"] = {"provider": "file", "file": "zss.cmat"}
@@ -172,6 +270,16 @@ class TestLoadConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError, match="zss.cmat"):
             load_config(path)
+
+    @pytest.mark.parametrize("value", [5, ["z.cmat"], True])
+    def test_non_string_impedance_file_is_config_error(self, tmp_path, value):
+        doc = minimal_doc()
+        doc["impedance"] = {"provider": "file", "file": value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="impedance.file"):
+            load_config(path)
+        assert main(["covariance", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
 
     def test_impedance_file_resolved_beside_config(self, tmp_path):
         doc = minimal_doc()

@@ -97,7 +97,7 @@ class TestBuildGeometry:
             build_sim_geometry(GeometryConfig(k_y=1, k_z=1, layers=1, carrier_frequency_hz=-1.0))
         with pytest.raises(ConfigurationError):
             build_sim_geometry(
-                GeometryConfig(k_y=1, k_z=1, layers=1, carrier_frequency_hz=28e9, element_spacing=0.0)
+                GeometryConfig(k_y=1, k_z=1, layers=1, carrier_frequency_hz=28e9, element_spacing_m=0.0)
             )
 
 
@@ -156,7 +156,7 @@ class TestFraunhofer:
         # paper-calibrated spacing reproduces the stated 0.32 m aperture
         spacing = 0.32 / float(np.hypot(63.0, 3.0))
         cfg = GeometryConfig(
-            k_y=64, k_z=4, layers=7, carrier_frequency_hz=28e9, element_spacing=spacing
+            k_y=64, k_z=4, layers=7, carrier_frequency_hz=28e9, element_spacing_m=spacing
         )
         sim, _ = build_sim_geometry(cfg)
         assert sim.aperture == pytest.approx(0.32, rel=1e-12)
@@ -165,7 +165,7 @@ class TestFraunhofer:
     def test_near_field_predicate_over_paper_distances(self):
         spacing = 0.32 / float(np.hypot(63.0, 3.0))
         cfg = GeometryConfig(
-            k_y=64, k_z=4, layers=7, carrier_frequency_hz=28e9, element_spacing=spacing
+            k_y=64, k_z=4, layers=7, carrier_frequency_hz=28e9, element_spacing_m=spacing
         )
         sim, _ = build_sim_geometry(cfg)
         for dist in [2.0, 5.0, 10.0, 15.0, 18.0]:

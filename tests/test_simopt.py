@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from simloc import multiport
 from simloc.bounds import mismatch_metrics, mse_ratio_bound, noise_inflation, subspace_mismatch
 from simloc.channel import estimate_covariance, reduce_subspace
+from simloc.errors import ConfigurationError
 from simloc.estimation import rsls_post_sim
 from simloc.geometry import GainModel, GeometryConfig, build_sim_geometry, region_at
 from simloc.multiport import (
@@ -241,6 +243,11 @@ class TestOptimize:
         assert traced_lu > 0  # the factorization still goes through sla.lu_factor
         assert traced_lu == untraced_lu
 
+    @pytest.mark.parametrize("field, value", [("trace_every", -1), ("restarts", 0)])
+    def test_out_of_range_setting_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"optimizer.{field}"):
+            OptimizerConfig(**{field: value})
+
     def test_trace_csv_round_trip(self, tmp_path):
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
         trace = optimize(net, u.conj().T, OptimizerConfig(rng_seed=0, max_iters=50))
@@ -256,7 +263,7 @@ class TestOptimize:
     def test_multistart_returns_best(self):
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
         cfg = OptimizerConfig(rng_seed=0, max_iters=120, target_delta_u=1e-9)
-        trace = optimize_multistart(net, u.conj().T, cfg, restarts=2)
+        trace = optimize_multistart(net, u.conj().T, replace(cfg, restarts=2))
         assert trace.final_eta is not None
         # network left at the reported eta
         np.testing.assert_array_equal(net.eta, trace.final_eta)
