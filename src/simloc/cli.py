@@ -57,6 +57,8 @@ def _load_scenario(args) -> ScenarioConfig:
     else:
         raise ConfigurationError("one of --config or --preset is required")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
         cfg = replace(
             cfg,
             covariance=replace(cfg.covariance, seed=args.seed + 1),

@@ -64,6 +64,8 @@ class CovarianceConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigurationError("covariance.samples must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("covariance.seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,8 @@ class SweepConfig:
             raise ConfigurationError("sweep.trials must be at least 100")
         if self.workers < 1:
             raise ConfigurationError("sweep.workers must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("sweep.seed must be nonnegative")
 
 
 @dataclass(frozen=True)

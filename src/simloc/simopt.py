@@ -10,28 +10,33 @@ expose exactly this quantity and its analytic derivative.
 over an annealing schedule of stages, on the same analytic gradient. It
 differs from the bare objective in two documented ways:
 
-* the match is weighted by the training ensemble. Input/target pairs
-  (r, U^H r) with r drawn from the channel-plus-interference distribution
-  weight the operator error by W^2 = w_perp*I + (1-w_perp)*U U^H: subspace
-  directions carry the channel power, the complement only the interference
-  floor. The complement weight is annealed over a short schedule so the
-  subspace is matched first.
 * alongside the gain c, a unitary recombination Q of the receiver outputs
   is concentrated out (closed-form polar factor). Which eigendirection
   lands on which receiver chain is immaterial to every downstream
   consumer, so mismatch is measured against the rotated basis U Q.
+* the match is weighted by the training ensemble. Input/target pairs
+  (r, U^H r) with r drawn from the channel-plus-interference distribution
+  weight the operator error by W^2 = w I + (1 - w) U U^H: subspace
+  directions carry the channel power, the complement only the interference
+  floor. As U^H U = I, the complement weight w is all the weighting needs:
+  with Y = Q^H U^H, Delta = c V - Y and Delta U = c V U - Q^H,
+    gain       c = (w <V, Y> + (1 - w) <V U, Q^H>) / (w ||V||^2 + (1 - w) ||V U||^2)
+    objective  w ||Delta||^2 + (1 - w) ||Delta U||^2
+    residual   Delta W^2 = w Delta + (1 - w) (Delta U) U^H
+  and no K x K matrix is formed. w is annealed over a short schedule so
+  the subspace is matched first.
 
 The delta metrics of the trace and the stop rule are the formulas of
 :mod:`bounds`. A configured network is reported through
 :func:`calibrate_projection` of its column-solve projection, which
-concentrates c and Q again under the final-stage weighting; the optimizer's
+concentrates c and Q again under the final-stage weight; the optimizer's
 own (c, Q) stay inside the descent.
 
 A restart stops as soon as the surface is good enough for estimation, at
-any objective evaluation of any stage (line-search points included). The
-stop rule asks for both
+its random start or at any objective evaluation of any stage (line-search
+points included). The stop rule asks for both
   delta_U <= tau (``target_delta_u``), measured under the final-stage
-  weighting as :func:`optimize` reports it, and
+  weight as :func:`optimize` reports it, and
   rho(V) = ||(V U)^{-1} V||_F^2 / L <= 1 / (1 - 2 tau - tau^2),
 where rho is the RS-LS noise inflation (:func:`bounds.noise_inflation`).
 The bound on delta_U alone caps the MSE loss only for energy-preserving
@@ -48,23 +53,20 @@ T. The forward right-hand side is the weighted residual scattered onto the
 input ports. The delta metrics of an evaluation are computed only when the
 stop rule or a trace row reads them.
 
-The stop rule is screened. Q^H and Y = Q^H U^H do not depend on the
-weighting, and Delta U = c_f V U - Q^H (U^H U = I), so the final-stage gain
-has the closed form
-  c_f = (w_f <V, Y> + (1 - w_f) <V U, Q^H>) / (w_f ||V||^2 + (1 - w_f) ||V U||^2)
-from the V U and Q^H the evaluation already holds. With M = c_f V U - Q^H
-and G = M^H M, delta_U^2 = lambda_max(G) >= tr(G^2) / tr(G), so
-||G||_F^2 > tau^2 ||M||_F^2 proves delta_U > tau in O(L^2) work beyond
+The stop rule is screened. Q^H and Y do not depend on the weighting, so a
+state of any stage needs only the gain c_f at the final weight. With
+M = c_f V U - Q^H and G = M^H M, delta_U^2 = lambda_max(G) >= tr(G^2) / tr(G),
+so ||G||_F^2 > tau^2 ||M||_F^2 proves delta_U > tau in O(L^2) work beyond
 the entries of V. tau carries a relative margin of 1e-9 and an absolute
 one of 1e-10 (|c_f| ||V||_F + 1) for the rounding between M and the full
 rule's Delta U. Only a state the screen cannot reject goes on to the full
-rule (the gain through W^2, an SVD, then rho), so every stop decision is
-the full rule's.
+rule (the residual under the same c_f, an SVD, then rho), so every stop
+decision is the full rule's.
 
 Every optimizer evaluation and every calibration takes one path: Q, then
-c, concentrated under a W^2 matrix (the identity at w_perp = 1). The bare
+c, concentrated at a complement weight (W^2 = I at w = 1). The bare
 objective is the one caller without the rotation, so it forms its own
-residual and shares only the gradient, at W^2 = I.
+residual; it shares the gain (at Q = I and w = 1) and the gradient.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ class OptimizerConfig:
             raise ConfigurationError("reduction.target_delta_u must be nonnegative")
         if self.restarts < 1:
             raise ConfigurationError("optimizer.restarts must be at least 1")
+        if self.rng_seed < 0:
+            raise ConfigurationError("optimizer.seed must be nonnegative")
         if self.trace_every < 0:
             raise ConfigurationError("optimizer.trace_every must be nonnegative")
         if not self.complement_weights:
@@ -167,18 +171,19 @@ class _EvalState:
     """Everything derivable from one factorization at the current eta.
 
     The delta metrics are computed from the residual on first read: within
-    a stage before the last, only a trace row reads them. ``vu`` and
-    ``q_h`` are None on the bare objective's state, which has no rotation."""
+    a stage before the last, only a trace row reads them. The bare
+    objective's state has no rotation, so no ``vu``, ``q_h``, ``delta_on_u``."""
 
     objective: float
     v: np.ndarray
     scale: complex
-    target_eff: np.ndarray  # (U Q)^H
-    delta: np.ndarray  # c V - (U Q)^H
+    target_eff: np.ndarray  # Y = (U Q)^H
+    delta: np.ndarray  # c V - Y
     u: np.ndarray
-    b: np.ndarray  # T @ C_out^T, reused by the gradient's adjoint pass
+    b: Optional[np.ndarray] = None  # T @ C_out^T, reused by the gradient's adjoint pass
     vu: Optional[np.ndarray] = None
     q_h: Optional[np.ndarray] = None
+    delta_on_u: Optional[np.ndarray] = None  # Delta U = c V U - Q^H
 
     @cached_property
     def delta_u(self) -> float:
@@ -189,56 +194,58 @@ class _EvalState:
         return relative_mismatch(self.delta, self.u)
 
 
-def _weight_matrix(u: np.ndarray, w_perp: float) -> np.ndarray:
-    """W^2 = w_perp*I + (1-w_perp)*U U^H of the training ensemble; w_perp = 1
-    gives the identity."""
-    k = u.shape[0]
-    return w_perp * np.eye(k) + (1.0 - w_perp) * (u @ u.conj().T)
-
-
-def _gain(v: np.ndarray, y: np.ndarray, w2: np.ndarray) -> complex:
-    """The gain c minimizing the W^2-weighted ||c V - Y||."""
-    w2_vh = w2 @ v.conj().T
-    num, den = np.trace(w2_vh @ y), np.real(np.trace(w2_vh @ v))
+def _gain(
+    v: np.ndarray, y: np.ndarray, vu: np.ndarray, q_h: np.ndarray, w_perp: float
+) -> complex:
+    """The gain c minimizing the weighted ||c V - Y||^2 at complement weight
+    ``w_perp`` (module docstring)."""
+    den = w_perp * np.vdot(v, v).real + (1.0 - w_perp) * np.vdot(vu, vu).real
     if den == 0.0:
         return 1.0 + 0.0j
-    return complex(num / den)
+    return complex((w_perp * np.vdot(v, y) + (1.0 - w_perp) * np.vdot(vu, q_h)) / den)
 
 
-def _mismatch(
-    v: np.ndarray, u: np.ndarray, w2: np.ndarray
-) -> Tuple[complex, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Concentrate the unitary Q^H, then the gain c, and form the residual
-    Delta = c V - Q^H U^H: returns (c, Q^H, Q^H U^H, Delta, V U).
+def _concentrate(
+    v: np.ndarray, u: np.ndarray, w_perp: float, b: Optional[np.ndarray] = None
+) -> _EvalState:
+    """Concentrate the unitary Q^H, then the gain c, at complement weight
+    ``w_perp``; the state holds the residuals Delta = c V - Q^H U^H and
+    Delta U and the weighted objective.
 
     Q^H is the polar factor P of V U = P H, whatever the weighting. Because
-    U^H W^2 = U^H, the gain that follows is tr(H) / tr(W^2 V^H V), real and
-    positive, so a further rotation step would return the same P: one round
-    of the gain/rotation alternation is its fixed point.
+    Y U = Q^H, the gain that follows is
+    tr(H) / (w ||V||^2 + (1 - w) ||V U||^2), real and positive, so a further
+    rotation step would return the same P: one round of the gain/rotation
+    alternation is its fixed point.
     """
     vu = v @ u
     left, _, right = np.linalg.svd(vu)
     q_h = left @ right  # unitary closest to V U
     y = q_h @ u.conj().T
-    c = _gain(v, y, w2)
+    c = _gain(v, y, vu, q_h, w_perp)
     delta = c * v - y
-    if not np.isfinite(delta).all():
-        raise OptimizationError("projection mismatch is not finite")
-    return c, q_h, y, delta, vu
-
-
-def _evaluate(net: SimNetwork, u: np.ndarray, w2: np.ndarray) -> _EvalState:
-    b = net.solve(net.c_out.T)  # adjoint pass, M columns
-    v = b[net.input_port_indices(), :].T
-    c, q_h, y, delta, vu = _mismatch(v, u, w2)
-    obj = float(np.real(np.trace(w2 @ delta.conj().T @ delta)))
+    delta_on_u = c * vu - q_h
+    obj = float(
+        w_perp * np.vdot(delta, delta).real
+        + (1.0 - w_perp) * np.vdot(delta_on_u, delta_on_u).real
+    )
     if not np.isfinite(obj):
-        raise OptimizationError("objective is not finite")
-    return _EvalState(obj, v, c, y, delta, u, b, vu, q_h)
+        raise OptimizationError("projection mismatch is not finite")
+    return _EvalState(obj, v, c, y, delta, u, b, vu, q_h, delta_on_u)
 
 
-def _gradient_from_state(net: SimNetwork, state: _EvalState, w2: np.ndarray) -> np.ndarray:
-    residual = state.delta @ w2
+def _residual(state: _EvalState, w_perp: float) -> np.ndarray:
+    """Delta W^2 = w Delta + (1 - w) (Delta U) U^H, the gradient's residual
+    at complement weight ``w_perp``: Delta itself at w = 1."""
+    return w_perp * state.delta + (1.0 - w_perp) * (state.delta_on_u @ state.u.conj().T)
+
+
+def _evaluate(net: SimNetwork, u: np.ndarray, w_perp: float) -> _EvalState:
+    b = net.solve(net.c_out.T)  # adjoint pass, M columns
+    return _concentrate(b[net.input_port_indices(), :].T, u, w_perp, b)
+
+
+def _gradient_from_state(net: SimNetwork, state: _EvalState, residual: np.ndarray) -> np.ndarray:
     # forward pass, M columns: E_in R^H, R^H scattered onto the input ports
     rhs = np.zeros((net.n_ports, residual.shape[0]), dtype=complex, order="F")
     rhs[net.input_port_indices()] = residual.conj().T
@@ -267,13 +274,13 @@ def _bare_state(net: SimNetwork, target: np.ndarray) -> _EvalState:
     y = np.ascontiguousarray(_check_target(net, target))  # the norm sums in memory order
     b = net.solve(net.c_out.T)
     v = b[net.input_port_indices(), :].T
-    den = np.vdot(v, v).real
-    c = 1.0 + 0.0j if den == 0.0 else complex(np.vdot(v, y) / den)
+    u = y.conj().T
+    c = _gain(v, y, v @ u, np.eye(len(y)), 1.0)  # unrotated (Q = I), unweighted (w = 1)
     delta = c * v - y
     obj = float(np.linalg.norm(delta, "fro") ** 2)
     if not np.isfinite(obj):
         raise OptimizationError("objective is not finite")
-    return _EvalState(obj, v, c, y, delta, y.conj().T, b)
+    return _EvalState(obj, v, c, y, delta, u, b)
 
 
 def objective(net: SimNetwork, target: np.ndarray) -> float:
@@ -284,7 +291,7 @@ def objective(net: SimNetwork, target: np.ndarray) -> float:
 def gradient(net: SimNetwork, target: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`objective` with respect to every phase."""
     state = _bare_state(net, target)
-    return _gradient_from_state(net, state, np.eye(net.n_inputs))
+    return _gradient_from_state(net, state, state.delta)
 
 
 def finite_difference_gradient(
@@ -327,44 +334,28 @@ class _TargetMet(Exception):
         self.x = x
 
 
-def _final_delta_u(state: _EvalState, w2: np.ndarray, final_w2: np.ndarray) -> float:
-    """delta_U of the state's V under the final-stage weighting. Q^H and
-    Y = Q^H U^H do not depend on the weighting, so a state evaluated at an
-    earlier stage's W^2 only needs the gain c again."""
-    if w2 is final_w2:
-        return state.delta_u
-    c = _gain(state.v, state.target_eff, final_w2)
-    return subspace_mismatch(c * state.v - state.target_eff, state.u)
-
-
-def _misses_target(state: _EvalState, w_perp: float, tau: float) -> bool:
-    """The stop rule's screen: True only when delta_U under complement
-    weight ``w_perp`` provably exceeds ``tau`` (module docstring)."""
-    v, vu, q_h = state.v, state.vu, state.q_h
-    v_sq = np.vdot(v, v).real
-    den = w_perp * v_sq + (1.0 - w_perp) * np.vdot(vu, vu).real
-    if den == 0.0:
-        return False
-    c = (w_perp * np.vdot(v, state.target_eff) + (1.0 - w_perp) * np.vdot(vu, q_h)) / den
-    m = c * vu - q_h
+def _misses_target(state: _EvalState, c: complex, tau: float) -> bool:
+    """The stop rule's screen: True only when delta_U under the gain ``c``
+    provably exceeds ``tau`` (module docstring)."""
+    m = c * state.vu - state.q_h
     g = m.conj().T @ m
     # the rounding of M against the full rule's Delta U is relative to |c| ||V||
-    slack = 1e-10 * (abs(c) * np.sqrt(v_sq) + 1.0)
+    slack = 1e-10 * (abs(c) * np.linalg.norm(state.v) + 1.0)
     return np.vdot(g, g).real > (tau * (1.0 + 1e-9) + slack) ** 2 * np.vdot(m, m).real
 
 
-def _meets_target(
-    state: _EvalState, w2: np.ndarray, final_w2: np.ndarray, cfg: OptimizerConfig
-) -> bool:
-    """The stop rule: delta_U under the final-stage weighting within the
+def _meets_target(state: _EvalState, cfg: OptimizerConfig) -> bool:
+    """The stop rule: delta_U under the final-stage weight within the
     target, and the RS-LS noise inflation within the MSE ratio bound the
-    target implies. The screen rejects most states before the gain under
-    W^2 and the SVD."""
+    target implies. A state of any stage needs only the gain at the final
+    weight; the screen rejects most states before the SVD."""
     tau = cfg.target_delta_u
-    if _misses_target(state, cfg.complement_weights[-1], tau):
+    y = state.target_eff
+    c = _gain(state.v, y, state.vu, state.q_h, cfg.complement_weights[-1])
+    if _misses_target(state, c, tau):
         return False
     return (
-        _final_delta_u(state, w2, final_w2) <= tau
+        subspace_mismatch(c * state.v - y, state.u) <= tau
         and noise_inflation(state.v, state.u) <= mse_ratio_bound(tau)
     )
 
@@ -372,14 +363,13 @@ def _meets_target(
 def _lbfgs_stage(
     net: SimNetwork,
     u: np.ndarray,
-    w2: np.ndarray,
-    final_w2: np.ndarray,
+    w_perp: float,
     cfg: OptimizerConfig,
     eta: np.ndarray,
     trace: OptimizationTrace,
 ) -> Tuple[np.ndarray, bool]:
-    """One L-BFGS-B run at weight W^2; returns its end point and whether it
-    stopped there because the stop rule fired."""
+    """One L-BFGS-B run at complement weight ``w_perp``; returns its end
+    point and whether it stopped there because the stop rule fired."""
     last = {"eta": eta}
     # the point fun evaluated last and its state: the callback's iterate is
     # normally that point, so the trace reuses it instead of factorizing again
@@ -388,14 +378,14 @@ def _lbfgs_stage(
     def fun(x: np.ndarray):
         net.set_eta(x)
         try:
-            state = _evaluate(net, u, w2)
+            state = _evaluate(net, u, w_perp)
         except ConditioningError:
             memo["x"] = None
             return 1e9, np.zeros_like(x)
-        if _meets_target(state, w2, final_w2, cfg):
+        if _meets_target(state, cfg):
             raise _TargetMet(x.copy())
         memo["x"], memo["state"] = x.copy(), state
-        return state.objective, _gradient_from_state(net, state, w2)
+        return state.objective, _gradient_from_state(net, state, _residual(state, w_perp))
 
     count = {"n": 0}
 
@@ -408,7 +398,7 @@ def _lbfgs_stage(
         else:
             try:
                 net.set_eta(x)
-                state = _evaluate(net, u, w2)
+                state = _evaluate(net, u, w_perp)
             except ConditioningError:
                 return
         move = float(np.linalg.norm(x - last["eta"]))
@@ -434,13 +424,14 @@ def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> Optim
 
     Phases start uniform in (-pi, pi] from ``cfg.rng_seed`` and descend the
     ensemble-weighted mismatch through the annealing schedule, one L-BFGS-B
-    run of up to ``cfg.max_iters`` iterations per stage. The first evaluated
-    point that meets the stop rule (module docstring) ends the restart there
-    and skips the remaining stages; ``stopped_on_target`` records it.
-    Convergence means the final effective subspace mismatch (measured on the
-    scaled, rotated match under the final stage weighting) is at or below
-    ``cfg.target_delta_u``. The final eta is left installed in the network.
-    Non-convergence is reported through the flag, not an exception.
+    run of up to ``cfg.max_iters`` iterations per stage. The first point,
+    the random start included, that meets the stop rule (module docstring)
+    ends the restart there and skips the remaining stages;
+    ``stopped_on_target`` records it. Convergence means the final effective
+    subspace mismatch (measured on the scaled, rotated match under the final
+    stage weight) is at or below ``cfg.target_delta_u``. The final eta is
+    left installed in the network. Non-convergence is reported through the
+    flag, not an exception.
     """
     target = _check_target(net, target)
     u = _require_orthonormal_rows(target)
@@ -449,20 +440,19 @@ def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> Optim
     eta = net.eta
 
     trace = OptimizationTrace()
-    stage_w2 = [_weight_matrix(u, w_perp) for w_perp in cfg.complement_weights]
-    final_w2 = stage_w2[-1]
-    state = _evaluate(net, u, final_w2)
+    final_w = cfg.complement_weights[-1]
+    state = _evaluate(net, u, final_w)
     trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
+    trace.stopped_on_target = _meets_target(state, cfg)
 
-    if state.delta_u > cfg.target_delta_u:
-        for w2 in stage_w2:
+    if not trace.stopped_on_target:
+        for w_perp in cfg.complement_weights:
             trace.stage_bounds.append(len(trace.objective))
-            eta, stopped = _lbfgs_stage(net, u, w2, final_w2, cfg, eta, trace)
-            if stopped:
-                trace.stopped_on_target = True
+            eta, trace.stopped_on_target = _lbfgs_stage(net, u, w_perp, cfg, eta, trace)
+            if trace.stopped_on_target:
                 break
         net.set_eta(eta)
-        state = _evaluate(net, u, final_w2)
+        state = _evaluate(net, u, final_w)
         trace.append(state.objective, state.delta_u, state.delta_rel, 0.0)
 
     trace.converged = state.delta_u <= cfg.target_delta_u
@@ -492,8 +482,8 @@ def calibrate_projection(v: np.ndarray, u: np.ndarray, w_perp: float) -> Calibra
     annealing schedule, the weighting its stop rule measures under."""
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    c, q_h, *_ = _mismatch(v, u, _weight_matrix(u, w_perp))
-    return CalibratedProjection(v_scaled=c * v, u_basis=u @ q_h.conj().T, scale=c)
+    s = _concentrate(v, u, w_perp)
+    return CalibratedProjection(v_scaled=s.scale * v, u_basis=u @ s.q_h.conj().T, scale=s.scale)
 
 
 def optimize_multistart(

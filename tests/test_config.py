@@ -134,6 +134,9 @@ class TestParseConfig:
             ("impedance", "z_self", [-1.0, 5.0]),
             ("impedance", "x0", 0.0),
             ("localizer", "coarse_grid", 1),
+            ("covariance", "seed", -1),
+            ("optimizer", "seed", -1),
+            ("sweep", "seed", -1),
         ],
     )
     def test_mistyped_value_named_in_error(self, block, key, value):

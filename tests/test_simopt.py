@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simloc import multiport
+from simloc import multiport, simopt
 from simloc.bounds import mismatch_metrics, mse_ratio_bound, noise_inflation, subspace_mismatch
 from simloc.channel import estimate_covariance, reduce_subspace
 from simloc.errors import ConfigurationError
@@ -19,14 +19,13 @@ from simloc.multiport import (
 )
 from simloc.simopt import (
     OptimizerConfig,
-    _EvalState,
+    _concentrate,
     _evaluate,
-    _final_delta_u,
+    _gain,
     _gradient_from_state,
     _meets_target,
-    _mismatch,
     _misses_target,
-    _weight_matrix,
+    _residual,
     calibrate_projection,
     finite_difference_gradient,
     gradient,
@@ -132,12 +131,12 @@ class TestGradient:
     def test_stage_gradient_matches_central_differences(self, w_perp):
         # the gradient L-BFGS follows: weighted, gain and rotation concentrated
         net, u = desk_setup()
-        w2 = _weight_matrix(u, w_perp)
         rng = np.random.default_rng(7)
         for _ in range(3):
             eta0 = rng.uniform(-3.0, 3.0, net.n_cells)
             net.set_eta(eta0)
-            g = _gradient_from_state(net, _evaluate(net, u, w2), w2)
+            state = _evaluate(net, u, w_perp)
+            g = _gradient_from_state(net, state, _residual(state, w_perp))
             fd = np.empty(net.n_cells)
             for c in range(net.n_cells):
                 sides = []
@@ -145,7 +144,7 @@ class TestGradient:
                     eta = eta0.copy()
                     eta[c] += step
                     net.set_eta(eta)
-                    sides.append(_evaluate(net, u, w2).objective)
+                    sides.append(_evaluate(net, u, w_perp).objective)
                 fd[c] = (sides[0] - sides[1]) / 2e-5
             # criterion 5's bound, with its 1e-4 floor for the FD roundoff
             ref = np.maximum(np.abs(fd), 1e-4 * np.abs(g).max())
@@ -161,14 +160,13 @@ class TestGradient:
         # solves for E_in (K columns) and applies R^H afterwards
         net, u = _cached_desk_setup()
         net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
-        w2 = _weight_matrix(u, w_perp)
-        state = _evaluate(net, u, w2)
-        residual = (state.scale * state.v - state.target_eff) @ w2
+        state = _evaluate(net, u, w_perp)
+        residual = _residual(state, w_perp)
         p = net.solve(input_embedding(net)) @ residual.conj().T
         w = (p * state.b).sum(axis=1)
         slope = net.reactance_slope()
         ref = -2.0 * slope * np.real(1j * state.scale * (w[0::2] + w[1::2]))
-        g = _gradient_from_state(net, state, w2)
+        g = _gradient_from_state(net, state, residual)
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @settings(max_examples=25, deadline=None)
@@ -181,14 +179,13 @@ class TestGradient:
         # gradient is bit for bit the one the dense embedding gave
         net, u = _cached_desk_setup()
         net.set_eta(np.random.default_rng(seed).uniform(-3.0, 3.0, net.n_cells))
-        w2 = _weight_matrix(u, w_perp)
-        state = _evaluate(net, u, w2)
-        residual = (state.scale * state.v - state.target_eff) @ w2
+        state = _evaluate(net, u, w_perp)
+        residual = _residual(state, w_perp)
         p = net.solve(input_embedding(net) @ residual.conj().T)
         w = (p * state.b).sum(axis=1)
         slope = net.reactance_slope()
         ref = -2.0 * slope * np.real(1j * state.scale * (w[0::2] + w[1::2]))
-        np.testing.assert_array_equal(_gradient_from_state(net, state, w2), ref)
+        np.testing.assert_array_equal(_gradient_from_state(net, state, residual), ref)
 
 
 class TestOptimize:
@@ -207,6 +204,19 @@ class TestOptimize:
         trace = optimize(net, u.conj().T, cfg)
         assert trace.converged
         assert trace.iterations == 0
+
+    def test_stop_rule_applies_at_the_start(self, monkeypatch):
+        # the random start meets delta_U <= tau = 10 but not the rho
+        # condition (mse_ratio_bound(10) is infinite, so it is pinned to 1):
+        # the stages run, as they would from any other evaluated point
+        net, u = desk_setup(k_y=4, layers=2, m=2, l_fixed=2)
+        monkeypatch.setattr(simopt, "noise_inflation", lambda v, u: np.inf)
+        monkeypatch.setattr(simopt, "mse_ratio_bound", lambda tau: 1.0)
+        cfg = OptimizerConfig(rng_seed=0, target_delta_u=10.0, max_iters=5)
+        trace = optimize(net, u.conj().T, cfg)
+        assert trace.delta_u[0] <= 10.0
+        assert trace.stage_bounds
+        assert not trace.stopped_on_target
 
     def test_determinism(self):
         net, u = desk_setup(k_y=8, layers=2, m=3, l_fixed=3)
@@ -243,9 +253,13 @@ class TestOptimize:
         assert traced_lu > 0  # the factorization still goes through sla.lu_factor
         assert traced_lu == untraced_lu
 
-    @pytest.mark.parametrize("field, value", [("trace_every", -1), ("restarts", 0)])
-    def test_out_of_range_setting_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=f"optimizer.{field}"):
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [("trace_every", -1, "trace_every"), ("restarts", 0, "restarts"), ("rng_seed", -1, "seed")],
+        ids=["trace_every--1", "restarts-0", "rng_seed--1"],
+    )
+    def test_out_of_range_setting_rejected(self, field, value, key):
+        with pytest.raises(ConfigurationError, match=f"optimizer.{key}"):
             OptimizerConfig(**{field: value})
 
     def test_trace_csv_round_trip(self, tmp_path):
@@ -315,9 +329,65 @@ class TestTraceInvariants:
             assert m.delta_rel == pytest.approx(np.linalg.norm(delta) / np.sqrt(3), rel=1e-12)
 
 
+def _weight_matrix(u, w_perp):
+    """W^2 = w I + (1 - w) U U^H as a K x K matrix: the reference the scalar
+    weighting is checked against."""
+    k = u.shape[0]
+    return w_perp * np.eye(k) + (1.0 - w_perp) * (u @ u.conj().T)
+
+
+def _w2_gain(v, y, w2):
+    """The gain minimizing tr(W^2 (c V - Y)^H (c V - Y)), through W^2."""
+    w2_vh = w2 @ v.conj().T
+    den = np.real(np.trace(w2_vh @ v))
+    return 1.0 + 0.0j if den == 0.0 else complex(np.trace(w2_vh @ y) / den)
+
+
+def _random_subspace_and_v(seed, k, l):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
+    # V comes out of the network as the transpose of a row slice
+    b = rng.standard_normal((k + 3, l)) + 1j * rng.standard_normal((k + 3, l))
+    return u, b[:k, :].T
+
+
+class TestScalarWeighting:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 24),
+        l=st.integers(1, 6),
+        w_perp=st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.0]),
+        zero_v=st.booleans(),
+    )
+    def test_equals_w2_matrix_reference(self, seed, k, l, w_perp, zero_v):
+        # gain, objective and gradient residual in the scalar w equal the
+        # same quantities formed through the K x K matrix W^2
+        l = min(l, k)
+        u, v = _random_subspace_and_v(seed, k, l)
+        if zero_v:
+            v = np.zeros_like(v)
+        state = _concentrate(v, u, w_perp)
+        w2 = _weight_matrix(u, w_perp)
+        c_ref = _w2_gain(v, state.target_eff, w2)
+        delta = c_ref * v - state.target_eff
+        obj_ref = np.real(np.trace(w2 @ delta.conj().T @ delta))
+        residual_ref = delta @ w2
+        # relative to the value plus the scale ||Y||_F^2 = L of the objective
+        # at c = 0: at w = 0 and L = 1 the optimum is zero up to rounding
+        l = min(l, k)
+        assert abs(state.scale - c_ref) <= 1e-12 * abs(c_ref)
+        assert abs(state.objective - obj_ref) <= 1e-12 * (obj_ref + l)
+        residual = _residual(state, w_perp)
+        assert np.linalg.norm(residual - residual_ref) <= 1e-12 * (
+            np.linalg.norm(residual_ref) + np.sqrt(l)
+        )
+
+
 def _concentrate_eight_rounds(v, u, w2):
-    """The gain/rotation alternation run for eight rounds; its later rounds
-    are fixed-point steps, so the single round equals it up to rounding."""
+    """The gain/rotation alternation run for eight rounds through the W^2
+    matrix; its later rounds are fixed-point steps, so the single round
+    equals it up to rounding."""
     l = u.shape[1]
     q_h = np.eye(l, dtype=complex)
     c = 1.0 + 0.0j
@@ -325,13 +395,7 @@ def _concentrate_eight_rounds(v, u, w2):
         a = c * (v @ u)
         left, _, right = np.linalg.svd(a)
         q_h = left @ right
-        y = q_h @ u.conj().T
-        num = np.trace(w2 @ v.conj().T @ y)
-        den = np.real(np.trace(w2 @ v.conj().T @ v))
-        if den == 0.0:
-            c = 1.0 + 0.0j
-            break
-        c = complex(num / den)
+        c = _w2_gain(v, q_h @ u.conj().T, w2)
     return c, q_h
 
 
@@ -345,22 +409,18 @@ class TestConcentrate:
         zero_v=st.booleans(),
     )
     def test_equals_eight_round_reference(self, seed, k, l, w_perp, zero_v):
-        l = min(l, k)
-        rng = np.random.default_rng(seed)
-        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
-        # V comes out of the network as the transpose of a row slice
-        b = rng.standard_normal((k + 3, l)) + 1j * rng.standard_normal((k + 3, l))
-        v = b[:k, :].T
+        u, v = _random_subspace_and_v(seed, k, min(l, k))
         if zero_v:
             v = np.zeros_like(v)
-        w2 = _weight_matrix(u, w_perp)
-        c, q_h, y, delta, vu = _mismatch(v, u, w2)
-        c_ref, q_h_ref = _concentrate_eight_rounds(v, u, w2)
+        state = _concentrate(v, u, w_perp)
+        c, q_h = state.scale, state.q_h
+        c_ref, q_h_ref = _concentrate_eight_rounds(v, u, _weight_matrix(u, w_perp))
         assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
         assert np.linalg.norm(q_h - q_h_ref) <= 1e-12 * np.linalg.norm(q_h_ref)
-        np.testing.assert_array_equal(y, q_h @ u.conj().T)
-        np.testing.assert_array_equal(delta, c * v - y)
-        np.testing.assert_array_equal(vu, v @ u)
+        np.testing.assert_array_equal(state.target_eff, q_h @ u.conj().T)
+        np.testing.assert_array_equal(state.delta, c * v - state.target_eff)
+        np.testing.assert_array_equal(state.vu, v @ u)
+        np.testing.assert_array_equal(state.delta_on_u, c * state.vu - q_h)
 
 
 class TestNoiseInflation:
@@ -385,17 +445,35 @@ class TestNoiseInflation:
         assert noise_inflation(v, u) == pytest.approx(expected, rel=1e-9)
 
 
-def _state_at(v, u, w2):
-    """The evaluation state the optimizer holds for V at stage weight W^2."""
-    c, q_h, y, delta, vu = _mismatch(v, u, w2)
-    return _EvalState(0.0, v, c, y, delta, u, None, vu, q_h)
+def _final_delta_u(state, w_final):
+    """delta_U of the state's V under the final weight, as the full stop
+    rule measures it: only the gain is recomputed."""
+    c = _gain(state.v, state.target_eff, state.vu, state.q_h, w_final)
+    return subspace_mismatch(c * state.v - state.target_eff, state.u)
+
+
+def _near_subspace_v(seed, k, l, log_eps):
+    """A scaled, rotated U^H plus a perturbation of size eps."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
+    q, _ = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
+    gain = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    noise = rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
+    return u, gain * (q @ u.conj().T + 10.0**log_eps * noise / np.linalg.norm(noise))
+
+
+_TAU_FACTORS = st.one_of(
+    st.sampled_from([1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6]),
+    st.floats(0.0, 2.0),
+)
 
 
 class TestStopRule:
     def test_complement_leakage_blocks_the_stop(self):
         # V = U^H plus rows in the complement of U: V U = I, so under the
-        # final weighting (w_perp = 0.2) delta_U = 1 - 1/1.1 meets the
-        # target, yet the leakage inflates the RS-LS noise by 1.5
+        # final weight (w_perp = 0.2) the gain is 1/1.1 and delta_U =
+        # 1 - 1/1.1 meets the target, yet the leakage inflates the RS-LS
+        # noise by 1.5
         rng = np.random.default_rng(0)
         k, l, tau = 16, 4, 0.1
         u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
@@ -404,15 +482,18 @@ class TestStopRule:
         )
         leak = comp.conj().T * (np.sqrt(0.5 * l) / np.linalg.norm(comp))
         v = u.conj().T + leak
-        final_w2 = _weight_matrix(u, 0.2)
         cal = calibrate_projection(v, u, w_perp=0.2)
-        assert mismatch_metrics(cal.v_scaled, cal.u_basis).delta_u <= tau
+        c_ref = _w2_gain(v, cal.u_basis.conj().T, _weight_matrix(u, 0.2))
+        assert cal.scale == pytest.approx(c_ref, rel=1e-12)
+        assert cal.scale == pytest.approx(1.0 / 1.1, rel=1e-12)
+        delta_u = mismatch_metrics(cal.v_scaled, cal.u_basis).delta_u
+        assert delta_u == pytest.approx(1.0 - 1.0 / 1.1, rel=1e-12)
+        assert delta_u <= tau
         assert noise_inflation(v, u) == pytest.approx(1.5, rel=1e-12)
         # states held at an unweighted stage, re-measured under the final one
-        w2 = _weight_matrix(u, 1.0)
         cfg = OptimizerConfig(target_delta_u=tau, complement_weights=(1.0, 0.2))
-        assert not _meets_target(_state_at(v, u, w2), w2, final_w2, cfg)
-        assert _meets_target(_state_at(u.conj().T, u, w2), w2, final_w2, cfg)
+        assert not _meets_target(_concentrate(v, u, 1.0), cfg)
+        assert _meets_target(_concentrate(u.conj().T, u, 1.0), cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -420,20 +501,27 @@ class TestStopRule:
         k=st.integers(2, 24),
         l=st.integers(1, 6),
         schedule=st.sampled_from([(0.0, 0.1, 0.2), (0.0, 0.5, 1.0)]),
+        log_eps=st.floats(-4.0, 1.0),
+        tau_factor=_TAU_FACTORS,
     )
-    def test_final_delta_u_equals_full_mismatch(self, seed, k, l, schedule):
-        # at every stage, the stop rule's delta_U (only the gain recomputed)
-        # is the one a full mismatch under the final weighting gives
-        l = min(l, k)
-        rng = np.random.default_rng(seed)
-        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
-        b = rng.standard_normal((k + 3, l)) + 1j * rng.standard_normal((k + 3, l))
-        v = b[:k, :].T
-        stage_w2 = [_weight_matrix(u, w_perp) for w_perp in schedule]
-        final_w2 = stage_w2[-1]
-        expected = subspace_mismatch(_mismatch(v, u, final_w2)[3], u)
-        for w2 in stage_w2:
-            assert _final_delta_u(_state_at(v, u, w2), w2, final_w2) == expected
+    def test_stop_decision_equals_final_weight_decision(
+        self, seed, k, l, schedule, log_eps, tau_factor
+    ):
+        # a state held at any stage weight reaches the stop decision (and the
+        # delta_U) of the state concentrated at the final weight, and that
+        # delta_U is the one the W^2 matrix gives
+        u, v = _near_subspace_v(seed, k, min(l, k), log_eps)
+        final = _concentrate(v, u, schedule[-1])
+        c_ref = _w2_gain(v, final.target_eff, _weight_matrix(u, schedule[-1]))
+        delta_u_ref = subspace_mismatch(c_ref * v - final.target_eff, u)
+        assert final.delta_u == pytest.approx(delta_u_ref, rel=1e-9, abs=1e-12)
+        cfg = OptimizerConfig(
+            target_delta_u=final.delta_u * tau_factor, complement_weights=schedule
+        )
+        for w_perp in schedule:
+            state = _concentrate(v, u, w_perp)
+            assert _final_delta_u(state, schedule[-1]) == final.delta_u
+            assert _meets_target(state, cfg) == _meets_target(final, cfg)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -442,10 +530,7 @@ class TestStopRule:
         l=st.integers(1, 6),
         schedule=st.sampled_from([(0.0, 0.1, 0.2), (0.0, 0.5, 1.0), (0.3,), (1.0, 0.0)]),
         log_eps=st.floats(-4.0, 1.0),
-        tau_factor=st.one_of(
-            st.sampled_from([1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6]),
-            st.floats(0.0, 2.0),
-        ),
+        tau_factor=_TAU_FACTORS,
     )
     def test_screen_never_rejects_a_state_the_full_rule_accepts(
         self, seed, k, l, schedule, log_eps, tau_factor
@@ -453,25 +538,19 @@ class TestStopRule:
         # V is a scaled, rotated U^H plus a perturbation of size eps; tau sits
         # at a multiple of the final-stage delta_U, just above or below it too
         l = min(l, k)
-        rng = np.random.default_rng(seed)
-        u, _ = np.linalg.qr(rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
-        q, _ = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
-        gain = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        noise = rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
-        v = gain * (q @ u.conj().T + 10.0**log_eps * noise / np.linalg.norm(noise))
-        stage_w2 = [_weight_matrix(u, w_perp) for w_perp in schedule]
-        final_w2 = stage_w2[-1]
-        delta_u = _final_delta_u(_state_at(v, u, final_w2), final_w2, final_w2)
+        u, v = _near_subspace_v(seed, k, l, log_eps)
+        delta_u = _concentrate(v, u, schedule[-1]).delta_u
         tau = delta_u * tau_factor
         cfg = OptimizerConfig(target_delta_u=tau, complement_weights=schedule)
-        for w2 in stage_w2:
-            state = _state_at(v, u, w2)
-            full = _final_delta_u(state, w2, final_w2) <= tau and noise_inflation(
+        for w_perp in schedule:
+            state = _concentrate(v, u, w_perp)
+            c_f = _gain(v, state.target_eff, state.vu, state.q_h, schedule[-1])
+            full = _final_delta_u(state, schedule[-1]) <= tau and noise_inflation(
                 v, u
             ) <= mse_ratio_bound(tau)
-            assert _meets_target(state, w2, final_w2, cfg) == full
-            if _misses_target(state, schedule[-1], tau):
-                assert _final_delta_u(state, w2, final_w2) > tau
+            assert _meets_target(state, cfg) == full
+            if _misses_target(state, c_f, tau):
+                assert _final_delta_u(state, schedule[-1]) > tau
             # lambda_max <= L tr(G^2) / tr(G): far enough above tau, it rejects
             if delta_u > 1e-4 and tau < delta_u / np.sqrt(l) * (1.0 - 1e-3):
-                assert _misses_target(state, schedule[-1], tau)
+                assert _misses_target(state, c_f, tau)

@@ -362,8 +362,18 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "block, key, value",
-        [("optimizer", "max_iters", "many"), ("sweep", "trials", [1]), ("impedance", "beta", None)],
-        ids=["string-iters", "list-trials", "null-beta"],
+        [
+            ("optimizer", "max_iters", "many"),
+            ("sweep", "trials", [1]),
+            ("impedance", "beta", None),
+            ("covariance", "seed", -1),
+            ("optimizer", "seed", -1),
+            ("sweep", "seed", -1),
+        ],
+        ids=[
+            "string-iters", "list-trials", "null-beta",
+            "negative-covariance-seed", "negative-optimizer-seed", "negative-sweep-seed",
+        ],
     )
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, block, key, value):
         doc = {
@@ -404,6 +414,19 @@ class TestCli:
         assert main(["covariance", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{block}.{key}" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        # --seed -1 maps to covariance.seed 0 and optimizer.seed 1, so only
+        # sweep.seed would go negative: the error names the flag
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_SMALL_SCENARIO))
+        code = main(["covariance", "--config", str(cfg_path), "--seed", "-1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "sweep.seed" not in err
         assert "Traceback" not in err
 
     def test_missing_scenario_is_config_error(self, tmp_path):
