@@ -6,9 +6,10 @@ concentrated out in closed form (downstream estimators are invariant to a
 global scale of the projection). :func:`objective` and :func:`gradient`
 expose exactly this quantity and its analytic derivative.
 
-:func:`optimize` solves the practical configuration problem with L-BFGS-B
-over an annealing schedule of stages, on the same analytic gradient. It
-differs from the bare objective in two documented ways:
+:func:`optimize` solves the practical configuration problem with L-BFGS
+(:func:`minimize`) over an annealing schedule of stages, on the same
+analytic gradient. It differs from the bare objective in two documented
+ways:
 
 * alongside the gain c, a unitary recombination Q of the receiver outputs
   is concentrated out (closed-form polar factor). Which eigendirection
@@ -42,8 +43,8 @@ where rho is the RS-LS noise inflation (:func:`bounds.noise_inflation`).
 The bound on delta_U alone caps the MSE loss only for energy-preserving
 projections; the rho condition caps it for the physical one, whose
 complement leakage the later stages keep lowering. A restart that never
-meets the rule runs every stage until L-BFGS-B ends it (iteration cap or
-no further progress).
+meets the rule runs every stage until L-BFGS ends it (step or evaluation
+cap, or no further progress).
 
 The gradient is analytic throughout: with T = inv(Z_ss + Z_s(eta)),
 dT/deta_m = -T (dZ_s/deta_m) T, and dZ_s/deta_m touches only the two ports
@@ -67,17 +68,25 @@ Every optimizer evaluation and every calibration takes one path: Q, then
 c, concentrated at a complement weight (W^2 = I at w = 1). The bare
 objective is the one caller without the rotation, so it forms its own
 residual; it shares the gain (at Q = I and w = 1) and the gradient.
+
+:func:`minimize` is an unconstrained L-BFGS (Liu & Nocedal 1989): the
+two-loop recursion over the last 10 (s, y) pairs, its initial matrix
+scaled by s^T y / y^T y of the newest pair, and a weak-Wolfe
+bisection/doubling line search (Lewis & Overton 2013). Phases are angles,
+so no bound applies. A trial point whose impedance matrix is too badly
+conditioned to factorize counts as a failed sufficient-decrease test: the
+step shrinks and the point is never accepted.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import matio
 from .bounds import mse_ratio_bound, noise_inflation, relative_mismatch, subspace_mismatch
@@ -92,7 +101,8 @@ class OptimizerConfig:
     ``complement_weights`` is the annealed schedule of the off-subspace
     weight, each entry in [0, 1]; ``(1.0,)`` weights every direction alike
     (W^2 = I, gain and rotation still concentrated). ``max_iters`` caps the
-    L-BFGS iterations of each stage, ``target_delta_u`` is the convergence
+    accepted L-BFGS steps of each stage (a stage also ends after 15 000
+    objective evaluations), ``target_delta_u`` is the convergence
     threshold on the final delta_U and sets the stop rule, ``rng_seed``
     draws the starting phases, ``restarts`` is the number of seeds
     :func:`optimize_multistart` tries, and ``trace_every`` keeps every n-th
@@ -314,6 +324,112 @@ def finite_difference_gradient(
     return out
 
 
+# -- L-BFGS -------------------------------------------------------------------
+
+_MEMORY = 10  # (s, y) pairs kept
+_WOLFE_C1, _WOLFE_C2 = 1e-4, 0.9  # sufficient decrease, curvature
+_MAX_TRIALS = 20  # line-search evaluations per step
+_GTOL = 1e-14  # on ||g||_inf
+_FTOL = 1e-16  # on the relative decrease of one step
+_MAX_EVALS = 15000
+_EPS = np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """End of a :func:`minimize` run: the point ``x``, the ``nit`` steps
+    accepted before it, and whether ``fun`` ended the run there."""
+
+    x: np.ndarray
+    nit: int
+    stopped: bool
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS direction -H g over the stored (s, y, 1 / s^T y) pairs,
+    oldest first, with H_0 = (s^T y / y^T y) I from the newest pair."""
+    d = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ d))
+        d = d - alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        d = d / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d = d + (alpha - rho * (y @ d)) * s
+    return d
+
+
+def minimize(
+    fun: Callable[[np.ndarray], Optional[tuple]],
+    x0: np.ndarray,
+    max_iters: int,
+    callback: Optional[Callable[[int, np.ndarray, object], None]] = None,
+) -> MinimizeResult:
+    """Minimize ``fun`` from ``x0`` by L-BFGS (module docstring).
+
+    ``fun(x)`` returns ``(f, g, aux)``, or None to end the run at ``x``
+    (``stopped``); a trial point where it raises
+    :class:`ConditioningError` is rejected and the step shrinks.
+    ``callback(nit, x, aux)`` sees each accepted iterate. The first step
+    along a direction without memory is 1 / ||d||, every other starts at 1,
+    and a step is accepted at the first trial meeting both weak Wolfe
+    conditions. A search that finds none drops the memory and retries
+    along -g; without memory to drop, it ends the run. The run also ends
+    after ``max_iters`` accepted steps, at ||g||_inf <= 1e-14, at a relative
+    decrease of at most 1e-16, or after 15 000 evaluations.
+    """
+    x = np.asarray(x0, dtype=float)
+    out = fun(x)
+    if out is None:
+        return MinimizeResult(x, 0, True)
+    f, g, _ = out
+    pairs = deque(maxlen=_MEMORY)
+    nit, nfev = 0, 1
+    while nit < max_iters and nfev < _MAX_EVALS and np.abs(g).max() > _GTOL:
+        d = _two_loop(g, pairs)
+        slope = g @ d
+        t = 1.0 if pairs else 1.0 / np.linalg.norm(d)
+        lo, hi = 0.0, np.inf
+        # rounding can leave -H g uphill; that counts as a failed search
+        for _ in range(_MAX_TRIALS if slope < 0 else 0):
+            x_new = x + t * d
+            nfev += 1
+            try:
+                out = fun(x_new)
+            except ConditioningError:
+                hi = t
+            else:
+                if out is None:
+                    return MinimizeResult(x_new, nit, True)
+                if out[0] > f + _WOLFE_C1 * t * slope:
+                    hi = t
+                elif out[1] @ d < _WOLFE_C2 * slope:
+                    lo = t
+                else:
+                    break
+            t = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
+        else:
+            if not pairs:
+                break
+            pairs.clear()
+            continue
+        f_new, g_new, aux = out
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > _EPS * -slope * t:
+            pairs.append((s, y, 1.0 / sy))
+        small = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        nit += 1
+        if callback is not None:
+            callback(nit, x, aux)
+        if small:
+            break
+    return MinimizeResult(x, nit, False)
+
+
 # -- optimizer ----------------------------------------------------------------
 
 
@@ -324,14 +440,6 @@ def _require_orthonormal_rows(target: np.ndarray) -> np.ndarray:
             "optimize() expects a target with orthonormal rows (U^H)"
         )
     return target.conj().T
-
-
-class _TargetMet(Exception):
-    """Raised out of the L-BFGS objective at a point that meets the target."""
-
-    def __init__(self, x: np.ndarray):
-        super().__init__()
-        self.x = x
 
 
 def _misses_target(state: _EvalState, c: complex, tau: float) -> bool:
@@ -368,63 +476,35 @@ def _lbfgs_stage(
     eta: np.ndarray,
     trace: OptimizationTrace,
 ) -> Tuple[np.ndarray, bool]:
-    """One L-BFGS-B run at complement weight ``w_perp``; returns its end
+    """One L-BFGS run at complement weight ``w_perp``; returns its end
     point and whether it stopped there because the stop rule fired."""
-    last = {"eta": eta}
-    # the point fun evaluated last and its state: the callback's iterate is
-    # normally that point, so the trace reuses it instead of factorizing again
-    memo = {"x": None, "state": None}
 
     def fun(x: np.ndarray):
         net.set_eta(x)
-        try:
-            state = _evaluate(net, u, w_perp)
-        except ConditioningError:
-            memo["x"] = None
-            return 1e9, np.zeros_like(x)
+        state = _evaluate(net, u, w_perp)
         if _meets_target(state, cfg):
-            raise _TargetMet(x.copy())
-        memo["x"], memo["state"] = x.copy(), state
-        return state.objective, _gradient_from_state(net, state, _residual(state, w_perp))
+            return None
+        return state.objective, _gradient_from_state(net, state, _residual(state, w_perp)), state
 
-    count = {"n": 0}
+    last = eta  # the phases of the previous trace row
 
-    def record(x: np.ndarray):
-        count["n"] += 1
-        if (count["n"] - 1) % cfg.trace_every != 0:
-            return
-        if memo["x"] is not None and np.array_equal(x, memo["x"]):
-            state = memo["state"]
-        else:
-            try:
-                net.set_eta(x)
-                state = _evaluate(net, u, w_perp)
-            except ConditioningError:
-                return
-        move = float(np.linalg.norm(x - last["eta"]))
-        last["eta"] = x.copy()
-        trace.append(state.objective, state.delta_u, state.delta_rel, move)
+    def record(nit: int, x: np.ndarray, state: _EvalState) -> None:
+        nonlocal last
+        if (nit - 1) % cfg.trace_every == 0:
+            trace.append(state.objective, state.delta_u, state.delta_rel, np.linalg.norm(x - last))
+            last = x
 
-    try:
-        res = minimize(
-            fun,
-            eta,
-            jac=True,
-            method="L-BFGS-B",
-            callback=record if cfg.trace_every > 0 else None,
-            options=dict(maxiter=cfg.max_iters, ftol=1e-16, gtol=1e-14),
-        )
-    except _TargetMet as met:
-        return met.x, True
-    return np.asarray(res.x), False
+    # looked up at call time, so a wrapped minimize sees every stage
+    res = minimize(fun, eta, cfg.max_iters, record if cfg.trace_every > 0 else None)
+    return res.x, res.stopped
 
 
 def optimize(net: SimNetwork, target: np.ndarray, cfg: OptimizerConfig) -> OptimizationTrace:
     """Configure the surface against the target projection U^H.
 
     Phases start uniform in (-pi, pi] from ``cfg.rng_seed`` and descend the
-    ensemble-weighted mismatch through the annealing schedule, one L-BFGS-B
-    run of up to ``cfg.max_iters`` iterations per stage. The first point,
+    ensemble-weighted mismatch through the annealing schedule, one L-BFGS
+    run of up to ``cfg.max_iters`` accepted steps per stage. The first point,
     the random start included, that meets the stop rule (module docstring)
     ends the restart there and skips the remaining stages;
     ``stopped_on_target`` records it. Convergence means the final effective

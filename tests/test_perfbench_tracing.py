@@ -10,8 +10,14 @@ import numpy as np
 import simloc.localizer
 import simloc.simopt
 import simloc.sweep
-from simloc.channel import steering_vector
-from simloc.geometry import GeometryConfig, UncertaintyRegion, build_sim_geometry
+from simloc.channel import estimate_covariance, reduce_subspace, steering_vector
+from simloc.geometry import (
+    GainModel,
+    GeometryConfig,
+    UncertaintyRegion,
+    build_sim_geometry,
+    region_at,
+)
 from simloc.multiport import build_sim_network
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -96,3 +102,28 @@ def test_optimizer_lus_are_traced():
     lu_spans = sum(span[0] == "multiport.lu" for span in tracer.spans)
     assert misses["n"] > 0
     assert lu_spans == misses["n"]
+
+
+def test_iterations_count_the_stage_the_stop_rule_ends():
+    # simopt.iterations sums the accepted L-BFGS steps of every stage, the
+    # stage the stop rule ends included; with trace_every = 1 each is one
+    # trace row between the start row and the final row
+    tracing = load_tracing()
+    sim, rx = build_sim_geometry(
+        GeometryConfig(k_y=16, k_z=1, layers=3, carrier_frequency_hz=28e9, receiver_elements=4)
+    )
+    cov = estimate_covariance(sim, region_at(0.4, 0.0, 0.2), GainModel(3.0), n_samples=2000, rng_seed=0)
+    u, _ = reduce_subspace(cov, l_fixed=4)
+    net = build_sim_network(sim, rx)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.start()
+        trace = simloc.simopt.optimize(net, u.conj().T, simloc.simopt.OptimizerConfig(rng_seed=0))
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    assert trace.stopped_on_target
+    # the stage the rule ended accepted steps before it fired
+    assert trace.stage_bounds[-1] < len(trace.objective) - 1
+    assert tracer.counts["simopt.iterations"] == len(trace.objective) - 2

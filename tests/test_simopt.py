@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from simloc import multiport, simopt
 from simloc.bounds import mismatch_metrics, mse_ratio_bound, noise_inflation, subspace_mismatch
 from simloc.channel import estimate_covariance, reduce_subspace
-from simloc.errors import ConfigurationError
+from simloc.errors import ConditioningError, ConfigurationError
 from simloc.estimation import rsls_post_sim
 from simloc.geometry import GainModel, GeometryConfig, build_sim_geometry, region_at
 from simloc.multiport import (
@@ -29,6 +29,7 @@ from simloc.simopt import (
     calibrate_projection,
     finite_difference_gradient,
     gradient,
+    minimize,
     objective,
     optimize,
     optimize_multistart,
@@ -554,3 +555,124 @@ class TestStopRule:
             # lambda_max <= L tr(G^2) / tr(G): far enough above tau, it rejects
             if delta_u > 1e-4 and tau < delta_u / np.sqrt(l) * (1.0 - 1e-3):
                 assert _misses_target(state, c_f, tau)
+
+
+def _quadratic(a, center):
+    """f = (x - center)^T A (x - center) / 2 in the (f, g, aux) form minimize
+    reads; aux is the gradient."""
+
+    def fun(x):
+        g = a @ (x - center)
+        return 0.5 * (x - center) @ g, g, g
+
+    return fun
+
+
+def _rosenbrock(x):
+    f = np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g, g
+
+
+class TestMinimize:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), log_cond=st.floats(0.0, 6.0))
+    def test_accepted_steps_meet_weak_wolfe(self, seed, n, log_cond):
+        # each accepted step along its direction s: f_new <= f + c1 g^T s and
+        # g_new^T s >= c2 g^T s, so the objective never rises
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.logspace(0.0, log_cond, n)) @ q.T
+        fun = _quadratic(a, rng.standard_normal(n))
+        x0 = rng.standard_normal(n)
+        steps = [(x0, *fun(x0)[:2])]
+
+        def callback(nit, x, g):
+            assert nit == len(steps)
+            steps.append((x, fun(x)[0], g))
+
+        res = minimize(fun, x0, 200, callback)
+        assert res.nit == len(steps) - 1 and not res.stopped
+        for (x, f, g), (x_new, f_new, g_new) in zip(steps, steps[1:]):
+            s = x_new - x
+            assert f_new <= f + simopt._WOLFE_C1 * (g @ s)
+            assert g_new @ s >= simopt._WOLFE_C2 * (g @ s)
+            assert f_new <= f
+
+    def test_quadratic_reaches_the_gradient_test(self):
+        # on an isotropic quadratic the first pair scales H_0 to the exact
+        # inverse Hessian, so the second step lands on the minimum
+        fun = _quadratic(2.0 * np.eye(5), np.arange(5.0))
+        res = minimize(fun, np.full(5, -1.0), 100)
+        assert res.nit == 2
+        assert np.abs(fun(res.x)[1]).max() <= simopt._GTOL
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_rosenbrock_converges(self, n):
+        x0 = np.tile([-1.2, 1.0], n)[:n]
+        res = minimize(_rosenbrock, x0, 5000)
+        assert res.nit < 5000
+        np.testing.assert_allclose(res.x, np.ones(n), atol=1e-6)
+
+    def test_stop_request_ends_the_run_at_that_point(self):
+        # fun returning None ends the run there; nit counts the steps
+        # accepted before it
+        fun = _quadratic(np.eye(3), np.ones(3))
+        accepted = []
+
+        def stop_near_optimum(x):
+            return None if np.linalg.norm(x - 1.0) < 1e-3 else fun(x)
+
+        res = minimize(stop_near_optimum, np.zeros(3), 100, lambda nit, x, g: accepted.append(x))
+        assert res.stopped
+        assert np.linalg.norm(res.x - 1.0) < 1e-3
+        assert res.nit == len(accepted)
+
+    def test_ill_conditioned_trial_is_rejected_and_shrinks_the_step(self):
+        # the first trial raises: it is never accepted, and the next trial
+        # is half as far along the same direction
+        fun = _quadratic(np.eye(2), np.zeros(2))
+        x0 = np.array([3.0, 4.0])
+        trials = []
+
+        def gated(x):
+            trials.append(x)
+            if len(trials) == 2:
+                raise ConditioningError("singular")
+            return fun(x)
+
+        accepted = []
+        res = minimize(gated, x0, 100, lambda nit, x, g: accepted.append(x))
+        rejected = trials[1]
+        np.testing.assert_allclose(trials[2] - x0, 0.5 * (rejected - x0), rtol=1e-15)
+        assert not any(np.array_equal(x, rejected) for x in accepted)
+        assert np.abs(res.x).max() <= 1e-12
+
+    def test_failed_search_drops_the_memory_once(self):
+        # after three accepted steps every trial raises: the search with
+        # memory fails, a second along -g from the same point fails too, and
+        # the run ends at the last accepted point
+        a = np.diag([1.0, 3.0, 10.0])
+        fun = _quadratic(a, np.ones(3))
+        trials = []
+        accepted = [np.array([2.0, -1.0, 0.5])]
+
+        def gated(x):
+            trials.append(x)
+            if len(accepted) > 3:
+                raise ConditioningError("singular")
+            return fun(x)
+
+        res = minimize(gated, accepted[0], 100, lambda nit, x, g: accepted.append(x))
+        assert res.nit == 3 and not res.stopped
+        np.testing.assert_array_equal(res.x, accepted[-1])
+        after = trials[len(trials) - 2 * simopt._MAX_TRIALS :]
+        assert not any(np.array_equal(t, accepted[-1]) for t in after)
+        # the retry starts along -g at 1 / ||g||, its first trial a unit step
+        g = fun(res.x)[1]
+        retry = after[simopt._MAX_TRIALS]
+        np.testing.assert_allclose(retry - res.x, -g / np.linalg.norm(g), rtol=1e-12)
+        with_memory = after[0] - res.x
+        assert abs(with_memory @ g) / (np.linalg.norm(with_memory) * np.linalg.norm(g)) < 1 - 1e-6
