@@ -5,7 +5,8 @@ The projection error Delta = V - U^H is summarized by the relative
 Frobenius mismatch delta_rel = ||Delta||_F / sqrt(L) and the effective
 subspace mismatch delta_U = ||Delta U||_2 (:func:`relative_mismatch` and
 :func:`subspace_mismatch`, which the optimizer's trace and stop rule call
-too). The reduced operator Gram matrix
+too). delta_U is taken from the L x L residual Delta U itself, which the
+optimizer holds without forming Delta. The reduced operator Gram matrix
 G(V) = (V U)^H (V U) = I + E has all eigenvalues inside
 [1 - (2 delta_U + delta_U^2), 1 + (2 delta_U + delta_U^2)], which bounds the
 least-squares MSE degradation of an energy-preserving projection by
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import ArrayGeometry
+from .multiport import row_orthonormality_gap
 
 _ROW_ORTHO_TOL = 1e-6
 _PINV_CONDITION = 1e12
@@ -42,9 +44,10 @@ class MismatchMetrics:
     mse_ratio_bound: float
 
 
-def subspace_mismatch(delta: np.ndarray, u: np.ndarray) -> float:
-    """delta_U = ||Delta U||_2, the largest singular value of Delta U."""
-    return float(np.linalg.svd(delta @ u, compute_uv=False)[0])
+def subspace_mismatch(delta_on_u: np.ndarray) -> float:
+    """delta_U = ||Delta U||_2, the largest singular value of the L x L
+    residual ``delta_on_u`` = Delta U."""
+    return float(np.linalg.svd(delta_on_u, compute_uv=False)[0])
 
 
 def relative_mismatch(delta: np.ndarray, u: np.ndarray) -> float:
@@ -62,8 +65,8 @@ def mismatch_metrics(v: np.ndarray, u: np.ndarray) -> MismatchMetrics:
             f"projection shape {v.shape} incompatible with subspace {u.shape}"
         )
     delta = v - u.conj().T
-    delta_u = subspace_mismatch(delta, u)
     delta_u_mat = delta @ u
+    delta_u = subspace_mismatch(delta_u_mat)
     e = delta_u_mat + delta_u_mat.conj().T + delta_u_mat.conj().T @ delta_u_mat
     e_norm = float(np.linalg.norm(e, 2))
     half = 2.0 * delta_u + delta_u**2
@@ -123,19 +126,16 @@ def mse_ratio_check(v: np.ndarray, u: np.ndarray) -> MseRatioCheck:
 
     The bound assumes the projection preserves energy (V V^H = I), so when
     the row-orthonormality gap exceeds 1e-6 the check is reported as
-    inapplicable rather than falsified. The ratio tr(G^{-1}) / L does not
-    depend on the noise level.
+    inapplicable rather than falsified. Where it applies, the ratio
+    tr(G^{-1}) / L is the noise inflation rho(V) of :func:`noise_inflation`,
+    which does not depend on the noise level.
     """
-    v = np.asarray(v, dtype=complex)
-    l = v.shape[0]
-    gap = float(np.linalg.norm(v @ v.conj().T - np.eye(l), 2))
     metrics = mismatch_metrics(v, u)
-    if gap > _ROW_ORTHO_TOL:
+    if row_orthonormality_gap(v) > _ROW_ORTHO_TOL:
         return MseRatioCheck(
             actual_ratio=np.nan, bound=metrics.mse_ratio_bound, holds=True, applicable=False
         )
-    g = reduced_gram(v, u)
-    ratio = float(np.real(np.trace(np.linalg.inv(g)))) / l
+    ratio = noise_inflation(v, u)
     holds = ratio <= metrics.mse_ratio_bound + 1e-9
     return MseRatioCheck(
         actual_ratio=ratio, bound=metrics.mse_ratio_bound, holds=holds, applicable=True

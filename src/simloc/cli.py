@@ -254,11 +254,8 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("give either --eta or --no-sim, not both")
     if args.eta:
         eta = matio.load_real_vector(args.eta)
-        cfg = replace(cfg, sweep=replace(cfg.sweep, sim="eta"))
     elif args.no_sim:
         cfg = replace(cfg, sweep=replace(cfg.sweep, sim="none"))
-    if cfg.sweep.sim == "eta" and eta is None:
-        raise ConfigurationError("sweep.sim = 'eta' requires --eta FILE")
     records = run_sweep(cfg, eta=eta, with_localizer=not args.no_localizer)
     save_records(out / "sweep.csv", records)
     print(f"{len(records)} records written to {out / 'sweep.csv'}")

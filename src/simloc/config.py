@@ -76,15 +76,15 @@ class SweepConfig:
     trials: int = 2000
     seed: int = 7
     workers: int = 1
-    sim: str = "optimize"  # none | optimize | eta
+    sim: str = "optimize"  # none | optimize; a given phase vector overrides it
 
     def __post_init__(self) -> None:
         for key in ("distances_m", "bearings_rad", "snr_db"):
             values = getattr(self, key)
             if values is not None and len(values) == 0:
                 raise ConfigurationError(f"sweep.{key} must not be empty")
-        if self.sim not in ("none", "optimize", "eta"):
-            raise ConfigurationError("sweep.sim must be none, optimize, or eta")
+        if self.sim not in ("none", "optimize"):
+            raise ConfigurationError("sweep.sim must be none or optimize")
         if self.trials < 100:
             raise ConfigurationError("sweep.trials must be at least 100")
         if self.workers < 1:
@@ -98,7 +98,6 @@ class ScenarioConfig:
     geometry: GeometryConfig
     region: RegionConfig
     gain: GainModel
-    outputs: int
     snr_db: Tuple[float, ...]
     covariance: CovarianceConfig
     impedance: ImpedanceParams
@@ -112,6 +111,12 @@ class ScenarioConfig:
             raise ConfigurationError("reduction.outputs must be at least 1")
         if not self.snr_db:
             raise ConfigurationError("noise.snr_db must not be empty")
+
+    @property
+    def outputs(self) -> int:
+        """L (``reduction.outputs``), held by the geometry settings: the
+        receiver has one element per output."""
+        return self.geometry.receiver_elements
 
     @property
     def target_delta_u(self) -> float:
@@ -240,7 +245,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
         geometry=GeometryConfig(**geometry, receiver_elements=reduction["outputs"]),
         region=region,
         gain=GainModel(**_block(doc, "gain")),
-        outputs=reduction["outputs"],
         snr_db=_block(doc, "noise").get("snr_db", (0.0, 10.0)),
         covariance=CovarianceConfig(**_block(doc, "covariance")),
         impedance=ImpedanceParams(**impedance),

@@ -9,7 +9,7 @@ origin. The transmitter lives in the z=0 plane at x > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -175,16 +175,10 @@ def fraunhofer_distance(geometry: ArrayGeometry) -> float:
 
 @dataclass(frozen=True)
 class UncertaintyRegion:
-    """Prior region for the transmitter: a uniform disk in the z=0 plane.
-
-    A custom ``sampler(n, rng) -> (n, 2) array`` may replace the disk law,
-    e.g. for point-mass test regions; ``center``/``diameter`` then only
-    describe the bounding box used by grid searches.
-    """
+    """Prior region for the transmitter: a uniform disk in the z=0 plane."""
 
     center: Tuple[float, float]
     diameter: float
-    sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.diameter < 0:
@@ -202,11 +196,6 @@ class UncertaintyRegion:
         return (cx - r, cx + r, cy - r, cy + r)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.sampler is not None:
-            pts = np.asarray(self.sampler(n, rng), dtype=float)
-            if pts.shape != (n, 2):
-                raise ConfigurationError("region sampler must return an (n, 2) array")
-            return pts
         # uniform over the disk: radius ~ R * sqrt(u)
         u = rng.random(n)
         phi = rng.random(n) * 2.0 * np.pi

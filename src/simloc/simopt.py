@@ -28,10 +28,10 @@ ways:
   the subspace is matched first.
 
 The delta metrics of the trace and the stop rule are the formulas of
-:mod:`bounds`. A configured network is reported through
-:func:`calibrate_projection` of its column-solve projection, which
-concentrates c and Q again under the final-stage weight; the optimizer's
-own (c, Q) stay inside the descent.
+:mod:`bounds`, delta_U taken on the L x L residual Delta U. A configured
+network is reported through :func:`calibrate_projection` of its
+column-solve projection, which concentrates c and Q again under the
+final-stage weight; the optimizer's own (c, Q) stay inside the descent.
 
 A restart stops as soon as the surface is good enough for estimation, at
 its random start or at any objective evaluation of any stage (line-search
@@ -44,7 +44,9 @@ The bound on delta_U alone caps the MSE loss only for energy-preserving
 projections; the rho condition caps it for the physical one, whose
 complement leakage the later stages keep lowering. A restart that never
 meets the rule runs every stage until L-BFGS ends it (step or evaluation
-cap, or no further progress).
+cap, or no further progress). Q^H and Y do not depend on the weighting,
+so a state of any stage needs only the gain c_f at the final weight: the
+rule's delta_U is that of the L x L residual c_f V U - Q^H.
 
 The gradient is analytic throughout: with T = inv(Z_ss + Z_s(eta)),
 dT/deta_m = -T (dZ_s/deta_m) T, and dZ_s/deta_m touches only the two ports
@@ -54,20 +56,10 @@ T. The forward right-hand side is the weighted residual scattered onto the
 input ports. The delta metrics of an evaluation are computed only when the
 stop rule or a trace row reads them.
 
-The stop rule is screened. Q^H and Y do not depend on the weighting, so a
-state of any stage needs only the gain c_f at the final weight. With
-M = c_f V U - Q^H and G = M^H M, delta_U^2 = lambda_max(G) >= tr(G^2) / tr(G),
-so ||G||_F^2 > tau^2 ||M||_F^2 proves delta_U > tau in O(L^2) work beyond
-the entries of V. tau carries a relative margin of 1e-9 and an absolute
-one of 1e-10 (|c_f| ||V||_F + 1) for the rounding between M and the full
-rule's Delta U. Only a state the screen cannot reject goes on to the full
-rule (the residual under the same c_f, an SVD, then rho), so every stop
-decision is the full rule's.
-
 Every optimizer evaluation and every calibration takes one path: Q, then
 c, concentrated at a complement weight (W^2 = I at w = 1). The bare
 objective is the one caller without the rotation, so it forms its own
-residual; it shares the gain (at Q = I and w = 1) and the gradient.
+residuals at Q = I; it shares the gain (at w = 1) and the gradient.
 
 :func:`minimize` is an unconstrained L-BFGS (Liu & Nocedal 1989): the
 two-loop recursion over the last 10 (s, y) pairs, its initial matrix
@@ -180,9 +172,8 @@ class OptimizationTrace:
 class _EvalState:
     """Everything derivable from one factorization at the current eta.
 
-    The delta metrics are computed from the residual on first read: within
-    a stage before the last, only a trace row reads them. The bare
-    objective's state has no rotation, so no ``vu``, ``q_h``, ``delta_on_u``."""
+    The delta metrics are computed from the residuals on first read: within
+    a stage before the last, only a trace row reads them."""
 
     objective: float
     v: np.ndarray
@@ -190,14 +181,14 @@ class _EvalState:
     target_eff: np.ndarray  # Y = (U Q)^H
     delta: np.ndarray  # c V - Y
     u: np.ndarray
-    b: Optional[np.ndarray] = None  # T @ C_out^T, reused by the gradient's adjoint pass
-    vu: Optional[np.ndarray] = None
-    q_h: Optional[np.ndarray] = None
-    delta_on_u: Optional[np.ndarray] = None  # Delta U = c V U - Q^H
+    b: Optional[np.ndarray]  # T @ C_out^T, reused by the gradient's adjoint pass
+    vu: np.ndarray
+    q_h: np.ndarray
+    delta_on_u: np.ndarray  # Delta U = c V U - Q^H
 
     @cached_property
     def delta_u(self) -> float:
-        return subspace_mismatch(self.delta, self.u)
+        return subspace_mismatch(self.delta_on_u)
 
     @cached_property
     def delta_rel(self) -> float:
@@ -285,12 +276,13 @@ def _bare_state(net: SimNetwork, target: np.ndarray) -> _EvalState:
     b = net.solve(net.c_out.T)
     v = b[net.input_port_indices(), :].T
     u = y.conj().T
-    c = _gain(v, y, v @ u, np.eye(len(y)), 1.0)  # unrotated (Q = I), unweighted (w = 1)
+    vu, q_h = v @ u, np.eye(len(y))
+    c = _gain(v, y, vu, q_h, 1.0)  # unrotated (Q = I), unweighted (w = 1)
     delta = c * v - y
     obj = float(np.linalg.norm(delta, "fro") ** 2)
     if not np.isfinite(obj):
         raise OptimizationError("objective is not finite")
-    return _EvalState(obj, v, c, y, delta, u, b)
+    return _EvalState(obj, v, c, y, delta, u, b, vu, q_h, c * vu - q_h)
 
 
 def objective(net: SimNetwork, target: np.ndarray) -> float:
@@ -442,28 +434,15 @@ def _require_orthonormal_rows(target: np.ndarray) -> np.ndarray:
     return target.conj().T
 
 
-def _misses_target(state: _EvalState, c: complex, tau: float) -> bool:
-    """The stop rule's screen: True only when delta_U under the gain ``c``
-    provably exceeds ``tau`` (module docstring)."""
-    m = c * state.vu - state.q_h
-    g = m.conj().T @ m
-    # the rounding of M against the full rule's Delta U is relative to |c| ||V||
-    slack = 1e-10 * (abs(c) * np.linalg.norm(state.v) + 1.0)
-    return np.vdot(g, g).real > (tau * (1.0 + 1e-9) + slack) ** 2 * np.vdot(m, m).real
-
-
 def _meets_target(state: _EvalState, cfg: OptimizerConfig) -> bool:
     """The stop rule: delta_U under the final-stage weight within the
     target, and the RS-LS noise inflation within the MSE ratio bound the
     target implies. A state of any stage needs only the gain at the final
-    weight; the screen rejects most states before the SVD."""
+    weight."""
     tau = cfg.target_delta_u
-    y = state.target_eff
-    c = _gain(state.v, y, state.vu, state.q_h, cfg.complement_weights[-1])
-    if _misses_target(state, c, tau):
-        return False
+    c = _gain(state.v, state.target_eff, state.vu, state.q_h, cfg.complement_weights[-1])
     return (
-        subspace_mismatch(c * state.v - y, state.u) <= tau
+        subspace_mismatch(c * state.vu - state.q_h) <= tau
         and noise_inflation(state.v, state.u) <= mse_ratio_bound(tau)
     )
 

@@ -202,7 +202,10 @@ def run_cell(
     eta: Optional[np.ndarray] = None,
     with_localizer: bool = True,
 ) -> List[ResultRecord]:
-    """Evaluate one (distance, bearing) cell across the configured SNRs."""
+    """Evaluate one (distance, bearing) cell across the configured SNRs.
+
+    Given phases ``eta`` set the surface; without them ``sweep.sim``
+    decides whether it is optimized for the cell or left out."""
     region = region_at(distance, bearing, cfg.region.diameter_m)
     sim_geom, rx_geom, cov, u, d = point_model(
         cfg, region, _cell_seed(cfg.covariance.seed, cell_index)
@@ -233,16 +236,15 @@ def run_cell(
     # surface configuration for this cell: the calibrated (c V, U Q), if any
     surface = None
     trace = None
-    if cfg.sweep.sim == "optimize":
+    net = None
+    if eta is not None:
+        net = build_network(cfg, sim_geom, rx_geom, eta=eta)
+    elif cfg.sweep.sim == "optimize":
         net = build_network(cfg, sim_geom, rx_geom)
         ocfg = cfg.optimizer
         ocfg = replace(ocfg, rng_seed=_cell_seed(ocfg.rng_seed, cell_index, 1), trace_every=0)
         trace = optimize_multistart(net, u.conj().T, ocfg)
-    elif cfg.sweep.sim == "eta":
-        if eta is None:
-            raise ConfigurationError("sweep.sim = 'eta' requires a phase vector")
-        net = build_network(cfg, sim_geom, rx_geom, eta=eta)
-    if cfg.sweep.sim != "none":
+    if net is not None:
         cal = calibrated_surface(cfg, net, u)
         m = mismatch_metrics(cal.v_scaled, cal.u_basis)
         emit("sim", math.nan, "delta_u", m.delta_u)

@@ -116,7 +116,7 @@ class TestMismatchMetrics:
         svd_delta_u = float(np.linalg.svd(delta @ u, compute_uv=False)[0])
         norm_delta_u = float(np.linalg.norm(delta @ u, 2))
         delta_rel = float(np.linalg.norm(delta, "fro") / np.sqrt(u.shape[1]))
-        assert subspace_mismatch(delta, u) == svd_delta_u
+        assert subspace_mismatch(delta @ u) == svd_delta_u
         assert relative_mismatch(delta, u) == delta_rel
         m = mismatch_metrics(v, u)
         assert m.delta_u == norm_delta_u
@@ -143,6 +143,17 @@ class TestMseRatioCheck:
             assert res.holds
             checked += 1
         assert checked == 500
+
+    def test_ratio_is_the_inverse_gram_trace(self):
+        # where the check applies, its ratio (rho) is tr(G^{-1}) / L
+        u = random_subspace(14, 4, seed=17)
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            v = row_orthonormalize(u.conj().T + random_delta(14, 4, rng.uniform(0.0, 0.3), u, rng))
+            res = mse_ratio_check(v, u)
+            assert res.applicable
+            expected = np.real(np.trace(np.linalg.inv(reduced_gram(v, u)))) / 4
+            assert res.actual_ratio == pytest.approx(expected, rel=1e-12)
 
     def test_domain_edge_gives_infinite_bound(self):
         u = random_subspace(10, 3, seed=14)

@@ -97,6 +97,18 @@ class TestParseConfig:
         with pytest.raises(TypeError):
             replace(cfg, target_delta_u=0.2)
 
+    def test_outputs_have_one_source(self):
+        # the scenario reads the receiver's element count, so replacing the
+        # geometry leaves no stale copy behind, and the range check still
+        # names the document key
+        cfg = parse_config(minimal_doc())
+        cfg = replace(cfg, geometry=replace(cfg.geometry, receiver_elements=6))
+        assert cfg.outputs == 6
+        with pytest.raises(TypeError):
+            replace(cfg, outputs=2)
+        with pytest.raises(ConfigurationError, match="reduction.outputs"):
+            replace(cfg, geometry=replace(cfg.geometry, receiver_elements=0))
+
     def test_underscore_keys_ignored(self):
         doc = minimal_doc()
         doc["_note"] = "hello"

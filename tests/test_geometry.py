@@ -216,16 +216,6 @@ class TestRegion:
         with pytest.raises(ConfigurationError):
             UncertaintyRegion(center=(-1.0, 0.0), diameter=0.5)
 
-    def test_custom_sampler(self):
-        pts_fixed = np.array([[1.0, 0.0], [2.0, 0.0]])
-
-        def sampler(n, rng):
-            return pts_fixed[np.arange(n) % 2]
-
-        region = UncertaintyRegion(center=(1.5, 0.0), diameter=1.0, sampler=sampler)
-        out = region.sample(4, np.random.default_rng(0))
-        np.testing.assert_allclose(out, [[1, 0], [2, 0], [1, 0], [2, 0]])
-
 
 class TestGainModel:
     def test_mean_square_gain_closed_form_vs_monte_carlo(self):

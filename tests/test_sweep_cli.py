@@ -150,7 +150,7 @@ class TestRunCell:
         assert [r.row() for r in seq] == [r.row() for r in par]
 
     def test_eta_cell_uses_file_impedance(self, tmp_path):
-        cfg = tiny_scenario(sweep={"sim": "eta"})
+        cfg = tiny_scenario()
         sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
         rng = np.random.default_rng(7)
         z = build_impedance(sim_geom, cfg.impedance)
@@ -186,7 +186,7 @@ class TestRunCell:
 
 
     def test_eta_cell_metrics_are_those_of_the_calibrated_projection(self):
-        cfg = tiny_scenario(sweep={"sim": "eta"})
+        cfg = tiny_scenario()
         sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
         eta = np.random.default_rng(21).uniform(-np.pi, np.pi, sim_geom.total_elements)
         records = run_cell(cfg, 0.25, 0.0, 0, eta=eta, with_localizer=False)
@@ -599,6 +599,28 @@ class TestCli:
         }
         cfg_path.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+
+    def test_sweep_eta_mode_is_not_a_setting(self, tmp_path, capsys):
+        # given phases set the surface; "eta" is no value of sweep.sim, even
+        # alongside --eta
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "geometry": {"k_y": 8, "k_z": 1, "layers": 2, "carrier_frequency_hz": 28e9},
+            "region": {"distance_m": 0.3, "bearing_rad": 0.0, "diameter_m": 0.15},
+            "reduction": {"outputs": 3},
+            "noise": {"snr_db": [5.0]},
+            "covariance": {"samples": 500, "seed": 5},
+            "sweep": {"distances_m": [0.3], "bearings_rad": [0.0], "trials": 100,
+                      "seed": 1, "sim": "eta"},
+        }))
+        eta_path = tmp_path / "eta.rvec"
+        save_real_vector(eta_path, np.zeros(16))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--eta", str(eta_path),
+                     "--no-localizer", "--out-dir", str(out)])
+        assert code == 2
+        assert "sweep.sim" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_sweep_rejects_eta_with_no_sim(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
