@@ -173,10 +173,8 @@ def channel_jacobian(geometry: ArrayGeometry, eps: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PebReport:
     fim: np.ndarray
-    crlb: np.ndarray
     peb: float
     condition_flag: bool
-    eps: np.ndarray
 
 
 def fim_peb(geometry: ArrayGeometry, eps: np.ndarray, sigma_n2: float) -> PebReport:
@@ -203,17 +201,12 @@ def fim_peb(geometry: ArrayGeometry, eps: np.ndarray, sigma_n2: float) -> PebRep
 
     _, s, vt = np.linalg.svd(jr, full_matrices=False)
     if s[0] == 0.0:
-        return PebReport(
-            fim=fim, crlb=np.full((4, 4), np.inf), peb=np.inf, condition_flag=True,
-            eps=np.asarray(eps, dtype=float),
-        )
+        return PebReport(fim=fim, peb=np.inf, condition_flag=True)
     flag = bool(s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > _PINV_CONDITION)
     keep = s > s[0] * 1e-13
     inv_s2 = np.zeros_like(s)
     inv_s2[keep] = s[keep] ** -2.0
     crlb = (vt.T * inv_s2[None, :]) @ vt
     peb = float(np.sqrt(max(crlb[0, 0] + crlb[1, 1], 0.0)))
-    return PebReport(
-        fim=fim, crlb=crlb, peb=peb, condition_flag=flag, eps=np.asarray(eps, dtype=float)
-    )
+    return PebReport(fim=fim, peb=peb, condition_flag=flag)
 

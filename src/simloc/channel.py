@@ -3,18 +3,18 @@ statistics that drive dimensionality reduction.
 
 The channel seen at the input layer is h = G * exp(j*theta) * a(p), with
 a_k(p) = exp(-j * 2*pi * ||p - p_k|| / lambda). Its covariance over the prior
-region is estimated by Monte Carlo and eigendecomposed once; estimators then
-work in the dominant eigenbasis.
+region is estimated by Monte Carlo and eigendecomposed once, and
+:func:`reduce_subspace` hands the estimators its L dominant eigenpairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EstimationError
 from .geometry import ArrayGeometry, GainModel, UncertaintyRegion, pairwise_distances
 
 _COV_CHUNK = 4096
@@ -60,21 +60,18 @@ def steering_vector(geometry: ArrayGeometry, p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Channel covariance and its dominant eigenstructure.
+    """Channel covariance and its eigenstructure.
 
     ``eigenvalues``/``eigenvectors`` hold the full decomposition in
-    descending order; ``u`` and ``d`` are the leading ``rank`` columns and
-    eigenvalues retained by the rank threshold.
+    descending order; ``rank`` counts the eigenvalues above the rank
+    threshold (``reduce_subspace(cov, l_fixed=cov.rank)`` keeps those).
     """
 
     r_h: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
-    u: np.ndarray
-    d: np.ndarray
     mc_samples: int
-    rank_threshold: float
 
     @property
     def dim(self) -> int:
@@ -158,6 +155,8 @@ def estimate_covariance(
         a = steering_matrix(geometry, points[start : start + _COV_CHUNK])
         acc += a @ a.conj().T
     r = gains.mean_square_gain * acc / n_samples
+    if not np.all(np.isfinite(r)):
+        raise EstimationError(f"R_h overflows at mean square gain {gains.mean_square_gain:.3e}")
     return covariance_from_matrix(r, rank_threshold, mc_samples=n_samples)
 
 
@@ -180,23 +179,19 @@ def covariance_from_matrix(
         eigenvalues=vals,
         eigenvectors=vecs,
         rank=rank,
-        u=vecs[:, :rank].copy(),
-        d=vals[:rank].copy(),
         mc_samples=mc_samples,
-        rank_threshold=rank_threshold,
     )
 
 
-def reduce_subspace(
-    cov: CovarianceModel, l_fixed: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dominant-eigenpair basis (U, D); ``l_fixed`` forces the output count.
+def reduce_subspace(cov: CovarianceModel, l_fixed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``l_fixed`` dominant eigenpairs (U, D); ``l_fixed=cov.rank`` gives
+    the subspace the rank threshold retains.
 
     Choosing ``l_fixed`` below the effective rank is an intentional
     truncation; the residual power is available via
     ``cov.truncation_power(l_fixed)``.
     """
-    l = cov.rank if l_fixed is None else int(l_fixed)
+    l = int(l_fixed)
     if not (1 <= l <= cov.dim):
         raise ConfigurationError(f"subspace size {l} outside [1, {cov.dim}]")
     return cov.eigenvectors[:, :l].copy(), cov.eigenvalues[:l].copy()

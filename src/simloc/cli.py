@@ -9,7 +9,8 @@ full grid), and ``plot-data`` (per-figure tidy tables).
 Exit codes: 0 success, 2 configuration error (including a missing or
 malformed input file), 3 numerical conditioning error, 4 optimizer
 non-convergence, 5 optimizer or estimator failure (a non-finite objective,
-a target without orthonormal rows, a rank-deficient estimator or an
+a target without orthonormal rows, a rank-deficient or numerically singular
+estimator, an estimator residual too small for a position bound, or an
 all-zero or non-finite estimate).
 """
 

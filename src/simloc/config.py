@@ -50,6 +50,8 @@ class RegionConfig:
             raise ConfigurationError("region.distance_m must be positive")
         if self.diameter_m < 0:
             raise ConfigurationError("region.diameter_m must be nonnegative")
+        if np.cos(self.bearing_rad) <= 0:
+            raise ConfigurationError("region.bearing_rad must have cos > 0")
 
     def build(self) -> UncertaintyRegion:
         return region_at(self.distance_m, self.bearing_rad, self.diameter_m)
@@ -64,6 +66,8 @@ class CovarianceConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigurationError("covariance.samples must be positive")
+        if not 0.0 < self.rank_threshold < 1.0:
+            raise ConfigurationError("covariance.rank_threshold must lie in (0, 1)")
         if self.seed < 0:
             raise ConfigurationError("covariance.seed must be nonnegative")
 
@@ -83,6 +87,12 @@ class SweepConfig:
             values = getattr(self, key)
             if values is not None and len(values) == 0:
                 raise ConfigurationError(f"sweep.{key} must not be empty")
+        for i, distance in enumerate(self.distances_m):
+            if distance <= 0:
+                raise ConfigurationError(f"sweep.distances_m[{i}] must be positive")
+        for i, bearing in enumerate(self.bearings_rad):
+            if np.cos(bearing) <= 0:
+                raise ConfigurationError(f"sweep.bearings_rad[{i}] must have cos > 0")
         if self.sim not in ("none", "optimize"):
             raise ConfigurationError("sweep.sim must be none or optimize")
         if self.trials < 100:
@@ -109,6 +119,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.outputs < 1:
             raise ConfigurationError("reduction.outputs must be at least 1")
+        if self.outputs > self.geometry.k_y * self.geometry.k_z:
+            raise ConfigurationError(
+                "reduction.outputs must not exceed geometry.k_y * geometry.k_z"
+            )
         if not self.snr_db:
             raise ConfigurationError("noise.snr_db must not be empty")
 
@@ -130,14 +144,14 @@ class ScenarioConfig:
 
 
 def _number(value, kind: type, where: str):
-    """``kind(value)``, kind int or float, for a JSON number. Anything else
-    (null, a boolean, a string, a list, a fraction where an integer is due,
-    or an integer too large for a float) raises ConfigurationError naming
-    the key."""
+    """``kind(value)``, kind int or float, for a finite JSON number. Anything
+    else (null, a boolean, a string, a list, NaN or an infinity, a fraction
+    where an integer is due, or an integer too large for a float) raises
+    ConfigurationError naming the key."""
     if kind is int:
         ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     else:
-        ok = isinstance(value, (int, float))
+        ok = isinstance(value, int) or (isinstance(value, float) and np.isfinite(value))
     if isinstance(value, bool) or not ok:
         expected = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{where} must be {expected}, got {value!r}")

@@ -40,7 +40,12 @@ def mmse_full(cov: CovarianceModel, sigma_z2: float) -> Tuple[np.ndarray, float]
     """Linear MMSE from the full-array observation r = h + z."""
     rh = cov.r_h
     a = rh + sigma_z2 * np.eye(cov.dim)
-    x = np.linalg.solve(a, rh)  # (R + s2 I)^{-1} R
+    try:
+        x = np.linalg.solve(a, rh)  # (R + s2 I)^{-1} R
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(
+            f"digital-baseline: R_h + sigma_z^2 I is singular at sigma_z^2 = {sigma_z2:.3e}"
+        ) from exc
     err = _hermitize(rh - rh @ x)
     return x.conj().T, float(np.real(np.trace(err)))
 

@@ -25,7 +25,8 @@ class GeometryConfig:
     ``element_spacing_m``, ``layer_spacing_m``, ``receiver_spacing_m`` and
     ``receiver_offset_m`` default to half a wavelength, half a wavelength,
     half a wavelength and one wavelength respectively when left ``None``.
-    The carrier frequency and any length given must be positive.
+    The element counts must be at least 1, and the carrier frequency and
+    any length given must be positive.
     """
 
     k_y: int
@@ -39,6 +40,9 @@ class GeometryConfig:
     receiver_offset_m: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for key in ("k_y", "k_z", "layers"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"geometry.{key} must be at least 1")
         for key in ("carrier_frequency_hz", "element_spacing_m", "layer_spacing_m",
                     "receiver_spacing_m", "receiver_offset_m"):
             value = getattr(self, key)
@@ -62,7 +66,6 @@ class ArrayGeometry:
     positions: np.ndarray
     layers: int
     elements_per_layer: int
-    spacing: float
     layer_spacing: float
     wavelength: float
     aperture: float
@@ -125,8 +128,6 @@ def build_sim_geometry(config: GeometryConfig) -> Tuple[ArrayGeometry, ArrayGeom
     receiver is a uniform linear array along y placed ``receiver_offset_m``
     beyond the last layer.
     """
-    if config.k_y < 1 or config.k_z < 1 or config.layers < 1:
-        raise ConfigurationError("k_y, k_z and layers must all be >= 1")
     if config.receiver_elements < 1:
         raise ConfigurationError("receiver_elements must be >= 1")
 
@@ -146,7 +147,6 @@ def build_sim_geometry(config: GeometryConfig) -> Tuple[ArrayGeometry, ArrayGeom
         positions=positions,
         layers=config.layers,
         elements_per_layer=k,
-        spacing=spacing,
         layer_spacing=layer_spacing,
         wavelength=lam,
         aperture=_max_pairwise_distance(layers[0]),
@@ -160,7 +160,6 @@ def build_sim_geometry(config: GeometryConfig) -> Tuple[ArrayGeometry, ArrayGeom
         positions=rx_positions,
         layers=1,
         elements_per_layer=m,
-        spacing=rx_spacing,
         layer_spacing=0.0,
         wavelength=lam,
         aperture=_max_pairwise_distance(rx_positions),
@@ -236,7 +235,3 @@ class GainModel:
         """E[G^2] in closed form for the log-normal amplitude law."""
         a = np.log(10.0) / 10.0  # G^2 = mean^2 * exp(a * X), X ~ N(0, std_db^2)
         return self.mean_gain**2 * float(np.exp(0.5 * (a * self.shadowing_std_db) ** 2))
-
-    def draw_gains(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        x_db = rng.normal(0.0, self.shadowing_std_db, size=n)
-        return self.mean_gain * 10.0 ** (x_db / 20.0)

@@ -24,18 +24,19 @@ maximum often lies outside it, and clipping there pulls the estimate toward
 the region centre, which biases the RMSE below the position error bound.
 Without any bound the ascent can climb the range ridge to metres.
 
-The coarse grid depends only on the region, so ``localize`` builds its
-steering matrix once per call and shares it across every estimate of a
-batch; the polish then runs for every estimate at once. Every per-row
-operation is elementwise or a reduction along that row, so a row's result
-does not depend on the batch it came in. The sweep relies on that: it
-localizes every estimate of a cell, all SNRs and estimators, in one call.
+``localize`` takes a batch of estimates, one per row. The coarse grid
+depends only on the region, so it builds its steering matrix once per call
+and shares it across the batch; the polish then runs for every row at
+once. Every per-row operation is elementwise or a reduction along that row,
+so a row's result does not depend on the batch it came in, and a single
+estimate is a batch of one. The sweep relies on that: it localizes every
+estimate of a cell, all SNRs and estimators, in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -180,23 +181,22 @@ def localize(
     geometry: ArrayGeometry,
     region: UncertaintyRegion,
     cfg: LocalizerConfig = LocalizerConfig(),
-) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
-    """Maximum-correlation position estimate near the prior region.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximum-correlation position estimates near the prior region.
 
     The coarse grid spans the region's bounding box; the Newton polish may
     leave it, up to twice the box's half-widths from the region centre (see
     the module docstring for why the estimate is not clipped to the box).
 
-    ``h_hat`` is one estimate (K,) or a batch (n, K). One estimate returns
-    ``(p_hat (2,), score)``; a batch returns ``(p_hats (n, 2), scores (n,))``,
-    each row equal to localizing that row alone. The score is invariant to
-    any nonzero complex scaling of the channel estimate.
+    ``h_hat`` is a batch (n, K) of channel estimates; the result is
+    ``(p_hats (n, 2), scores (n,))``, each row equal to localizing that row
+    alone. The score is invariant to any nonzero complex scaling of the
+    channel estimate.
     """
     rows = np.asarray(h_hat, dtype=complex)
-    if rows.ndim not in (1, 2):
-        raise EstimationError("expected one channel estimate (K,) or a batch (n, K)")
-    single = rows.ndim == 1
-    rows = np.ascontiguousarray(np.atleast_2d(rows))
+    if rows.ndim != 2:
+        raise EstimationError("expected a batch of channel estimates (n, K)")
+    rows = np.ascontiguousarray(rows)
     # a NaN or infinite entry makes its row's power non-finite
     power = np.array([np.vdot(h, h).real for h in rows])
     if not np.all(np.isfinite(power)):
@@ -215,9 +215,4 @@ def localize(
 
     reach = _SEARCH_HALF_WIDTHS * half
     spacing = float(2.0 * half.max() / (cfg.coarse_grid - 1))
-    p_hats, scores, _ = _polish(
-        geometry, rows, power, starts, center - reach, center + reach, spacing
-    )
-    if single:
-        return p_hats[0], float(scores[0])
-    return p_hats, scores
+    return _polish(geometry, rows, power, starts, center - reach, center + reach, spacing)[:2]

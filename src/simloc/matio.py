@@ -32,11 +32,11 @@ _FMT = "%.17g"
 
 @contextmanager
 def _reading(path: str | Path):
-    """Turn an unreadable file or an unparsable value into a configuration
-    error that names the file."""
+    """Turn an unreadable file, an unparsable value or a CSV the reader
+    rejects into a configuration error that names the file."""
     try:
         yield
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise ConfigurationError(f"{path}: cannot read ({exc})") from exc
 
 

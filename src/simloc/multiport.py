@@ -258,11 +258,6 @@ class SimNetwork:
         cached off-diagonal column sums of |Z_ss| plus |diag|."""
         return float((self._offdiag_colsum + np.abs(diag)).max())
 
-    def total_impedance(self) -> np.ndarray:
-        z = self.z_ss.copy()
-        z[np.diag_indices_from(z)] += self.load_diagonal()
-        return z
-
     # -- solves ------------------------------------------------------------
 
     def _factorization(self):

@@ -36,22 +36,23 @@ The per-point steps the CLI shares with the sweep live here too:
 :func:`point_model` (geometry, covariance and its L dominant eigenpairs at
 a region and seed), :func:`calibrated_surface` and :func:`position_bound`
 (the PEB at the region centre for an estimator's white-equivalent
-residual).
+residual, which raises EstimationError when that residual is not positive).
+The record columns are :class:`ResultRecord`'s fields, declared once there.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
 from .bounds import fim_peb, mismatch_metrics
 from .channel import estimate_covariance, reduce_subspace, steering_vector
 from .config import ScenarioConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EstimationError
 from .estimation import estimator_suite, monte_carlo_mse
 from .geometry import build_sim_geometry, region_at
 from .localizer import localize
@@ -59,21 +60,12 @@ from .matio import load_csv, save_csv
 from .multiport import build_network, effective_projection_matrix, row_orthonormality_gap
 from .simopt import calibrate_projection, optimize_multistart
 
-RECORD_HEADER = [
-    "scenario_id",
-    "tag",
-    "distance_m",
-    "bearing_rad",
-    "snr_db",
-    "metric",
-    "value",
-    "stderr",
-    "provenance",
-]
-
 
 @dataclass(frozen=True)
 class ResultRecord:
+    """One sweep record; its fields, in order, are the CSV columns, a float
+    written as its ``repr`` so that a save/load round trip is exact."""
+
     scenario_id: str
     tag: str
     distance_m: float
@@ -84,32 +76,19 @@ class ResultRecord:
     stderr: float
     provenance: str
 
-    def row(self) -> List:
-        return [
-            self.scenario_id,
-            self.tag,
-            repr(self.distance_m),
-            repr(self.bearing_rad),
-            repr(self.snr_db),
-            self.metric,
-            repr(self.value),
-            repr(self.stderr),
-            self.provenance,
-        ]
+    def row(self) -> List[str]:
+        values = (getattr(self, name) for name in RECORD_HEADER)
+        return [repr(v) if kind is float else v for kind, v in zip(_COLUMN_TYPES, values)]
+
+
+RECORD_HEADER = [f.name for f in fields(ResultRecord)]
+_COLUMN_TYPES = [get_type_hints(ResultRecord)[name] for name in RECORD_HEADER]  # float or str
 
 
 def record_from_row(row: Sequence[str]) -> ResultRecord:
-    return ResultRecord(
-        scenario_id=row[0],
-        tag=row[1],
-        distance_m=float(row[2]),
-        bearing_rad=float(row[3]),
-        snr_db=float(row[4]),
-        metric=row[5],
-        value=float(row[6]),
-        stderr=float(row[7]),
-        provenance=row[8],
-    )
+    if len(row) != len(RECORD_HEADER):
+        raise ValueError(f"{len(row)} fields, expected {len(RECORD_HEADER)}")
+    return ResultRecord(*(kind(text) for kind, text in zip(_COLUMN_TYPES, row)))
 
 
 def save_records(path, records: Sequence[ResultRecord]) -> None:
@@ -122,12 +101,18 @@ def load_records(path) -> List[ResultRecord]:
         raise ConfigurationError(f"{path}: not a sweep record file")
     try:
         return [record_from_row(r) for r in rows]
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"{path}: malformed record ({exc})") from exc
 
 
 def _cell_seed(master: int, *parts: int) -> int:
     return int(np.random.SeedSequence([master, *parts]).generate_state(1)[0])
+
+
+def _snr_words(snr: float) -> Tuple[int, ...]:
+    # the SNR in millidecibels; SeedSequence takes no negative word
+    milli = int(round(snr * 1000))
+    return (milli,) if milli >= 0 else (-milli, 1)
 
 
 def point_model(cfg: ScenarioConfig, region, seed: int):
@@ -160,6 +145,8 @@ def position_bound(geometry, region, cfg: ScenarioConfig, est):
     """The position error bound at the region centre for the white-equivalent
     residual of ``est``, its exact MSE over K: ``(sigma_n2, report)``."""
     sigma_n2 = est.exact_mse() / est.cov.dim
+    if not sigma_n2 > 0.0:  # an estimate exact to rounding
+        raise EstimationError(f"position error bound: residual exact MSE / K is {sigma_n2:.3e}")
     x, y = region.center
     return sigma_n2, fim_peb(geometry, np.array([x, y, cfg.gain.mean_gain, 0.0]), sigma_n2)
 
@@ -266,7 +253,7 @@ def run_cell(
         for idx, (tag, est) in enumerate(suite.items()):
             emit(tag, snr, "mse_analytic", est.analytic_mse)
             emit(tag, snr, "mse_exact", est.exact_mse())
-            seed = _cell_seed(cfg.sweep.seed, cell_index, 2, idx, int(round(snr * 1000)))
+            seed = _cell_seed(cfg.sweep.seed, cell_index, 2, idx, *_snr_words(snr))
             mse, stderr = monte_carlo_mse(est, trials=trials, rng_seed=seed)
             emit(tag, snr, "mse_empirical", mse, stderr, "monte-carlo")
 
@@ -283,7 +270,7 @@ def run_cell(
                         cfg,
                         sigma_n2,
                         trials=min(trials, 500),
-                        seed=_cell_seed(cfg.sweep.seed, cell_index, 3, int(round(snr * 1000))),
+                        seed=_cell_seed(cfg.sweep.seed, cell_index, 3, *_snr_words(snr)),
                     )
                 )
                 rmse_slots.append(len(records))

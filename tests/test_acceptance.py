@@ -94,7 +94,8 @@ class TestCriterion2FormEquivalence:
             vals, vecs = cov.eigenvalues, cov.eigenvectors
             spectral = vecs @ ((vals / (vals + sigma_z2))[:, None] * (vecs.conj().T @ r[:, None]))
             spectral = spectral[:, 0]
-            reduced = mmse_reduced(cov.u, cov.d, sigma_z2)[0] @ (cov.u.conj().T @ r)
+            u_l, d_l = reduce_subspace(cov, l_fixed=cov.rank)
+            reduced = mmse_reduced(u_l, d_l, sigma_z2)[0] @ (u_l.conj().T @ r)
 
             scale = np.linalg.norm(closed)
             worst = max(worst, np.linalg.norm(closed - spectral) / scale)
@@ -112,8 +113,9 @@ class TestCriterion3RslsMse:
         d = np.sort(rng.random(rank) * 4 + 0.5)[::-1]
         cov = covariance_from_matrix(q @ np.diag(d) @ q.conj().T, rank_threshold=1e-9)
         sigma_z2 = 0.37
-        w, analytic = rsls_ideal(cov.u, sigma_z2)
-        est = LinearEstimator(w, cov.u.conj().T, cov, sigma_z2, analytic)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
+        w, analytic = rsls_ideal(u, sigma_z2)
+        est = LinearEstimator(w, u.conj().T, cov, sigma_z2, analytic)
         mse, stderr = monte_carlo_mse(est, trials=10_000, rng_seed=123)
         expected = sigma_z2 * rank
         assert abs(mse - expected) <= 0.03 * expected
@@ -316,7 +318,7 @@ class TestCriterion10Localizer:
         ys = np.linspace(region.center[1] - region.radius, region.center[1] + region.radius, 33)
         p_true = np.array([xs[21], ys[9]])
         h = 1.4 * np.exp(0.3j) * steering_vector(sim, p_true)
-        p_hat, score = localize(h, sim, region, loc_cfg)
+        (p_hat,), (score,) = localize(h[None], sim, region, loc_cfg)
         np.testing.assert_allclose(p_hat, p_true, atol=1e-12)
         assert score == pytest.approx(1.0, rel=1e-12)
 
@@ -329,14 +331,15 @@ class TestCriterion10Localizer:
         rng = np.random.default_rng(5)
         k = sim.elements_per_layer
         a = steering_vector(sim, center)
-        sq = np.empty(1000)
+        batch = np.empty((1000, k), dtype=complex)
         for t in range(1000):
             theta = rng.random() * 2 * np.pi
             noise = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(
                 sigma_n2
             )
-            p_hat, _ = localize(np.exp(1j * theta) * a + noise, sim, region, desk_cfg.localizer)
-            sq[t] = float(np.sum((p_hat - center) ** 2))
+            batch[t] = np.exp(1j * theta) * a + noise
+        p_hats, _ = localize(batch, sim, region, desk_cfg.localizer)
+        sq = np.sum((p_hats - center) ** 2, axis=1)
         mean_sq = sq.mean()
         stderr = sq.std(ddof=1) / np.sqrt(len(sq))
         # fail only if the mean squared error is confidently below the bound

@@ -149,6 +149,17 @@ class TestParseConfig:
             ("covariance", "seed", -1),
             ("optimizer", "seed", -1),
             ("sweep", "seed", -1),
+            # out of range, once caught only where the value was used
+            ("covariance", "rank_threshold", 0.0),
+            ("covariance", "rank_threshold", 2.0),
+            ("region", "bearing_rad", 3.14159),
+            ("sweep", "distances_m", [0.5, 0.0]),
+            ("sweep", "bearings_rad", [0.0, 2.0]),
+            ("reduction", "outputs", 9),
+            ("geometry", "k_y", 0),
+            # JSON's NaN and Infinity literals
+            ("region", "distance_m", float("nan")),
+            ("noise", "snr_db", [0.0, float("inf")]),
         ],
     )
     def test_mistyped_value_named_in_error(self, block, key, value):
@@ -156,6 +167,16 @@ class TestParseConfig:
         doc.setdefault(block, {})[key] = value
         with pytest.raises(ConfigurationError, match=f"{block}.{key}"):
             parse_config(doc)
+
+    def test_list_entry_named_with_its_index(self):
+        for key, values, index in (
+            ("distances_m", [0.5, 0.3, -0.1], 2),
+            ("bearings_rad", [0.0, -2.0, 0.5], 1),
+        ):
+            doc = minimal_doc()
+            doc["sweep"] = {key: values}
+            with pytest.raises(ConfigurationError, match=rf"sweep\.{key}\[{index}\]"):
+                parse_config(doc)
 
     def test_integral_float_accepted_for_integer_key(self):
         doc = minimal_doc()

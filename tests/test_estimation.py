@@ -85,10 +85,11 @@ class TestMmseForms:
     def test_reduced_equals_full(self):
         for seed in range(5):
             cov = random_rank_deficient_cov(16, 6, seed=seed)
+            u, d = reduce_subspace(cov, l_fixed=cov.rank)
             rng = np.random.default_rng(200 + seed)
             r = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             full = mmse_full(cov, sigma_z2=0.5)[0] @ r
-            reduced = mmse_reduced(cov.u, cov.d, sigma_z2=0.5)[0] @ (cov.u.conj().T @ r)
+            reduced = mmse_reduced(u, d, sigma_z2=0.5)[0] @ (u.conj().T @ r)
             assert np.linalg.norm(full - reduced) <= 1e-10 * np.linalg.norm(full)
 
     def test_high_snr_mode_passes_unshrunk(self):
@@ -97,24 +98,26 @@ class TestMmseForms:
         d = np.array([1e9, 1.0])
         cov = covariance_from_matrix(u @ np.diag(d) @ u.conj().T, rank_threshold=1e-12)
         y = np.array([1.0 + 0j, 1.0 + 0j])
-        h_hat = mmse_reduced(cov.u, cov.d, sigma_z2=1.0)[0] @ y
+        h_hat = mmse_reduced(*reduce_subspace(cov, l_fixed=cov.rank), sigma_z2=1.0)[0] @ y
         assert h_hat[0] == pytest.approx(1.0, rel=1e-8)
         assert abs(h_hat[1]) == pytest.approx(0.5, rel=1e-8)
 
     def test_zero_observation_zero_estimate(self):
         cov = random_rank_deficient_cov(8, 3, seed=2)
-        w, _ = mmse_reduced(cov.u, cov.d, sigma_z2=0.2)
+        u, d = reduce_subspace(cov, l_fixed=cov.rank)
+        w, _ = mmse_reduced(u, d, sigma_z2=0.2)
         np.testing.assert_allclose(w @ np.zeros(3, dtype=complex), 0.0)
 
 
 class TestRslsIdeal:
     def test_in_subspace_noiseless_exact(self):
         cov = random_rank_deficient_cov(10, 4, seed=3)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
         rng = np.random.default_rng(4)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        h = cov.u @ g
-        w, mse = rsls_ideal(cov.u, sigma_z2=0.1)
-        np.testing.assert_allclose(w @ (cov.u.conj().T @ h), h, rtol=1e-12)
+        h = u @ g
+        w, mse = rsls_ideal(u, sigma_z2=0.1)
+        np.testing.assert_allclose(w @ (u.conj().T @ h), h, rtol=1e-12)
         assert mse == pytest.approx(0.1 * 4, rel=1e-12)
 
     def test_full_basis_identity(self):
@@ -127,8 +130,9 @@ class TestRslsIdeal:
 
     def test_monte_carlo_mse_matches_sigma_l(self):
         cov = random_rank_deficient_cov(12, 5, seed=7)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
         sigma_z2 = 0.4
-        est = estimator(rsls_ideal(cov.u, sigma_z2), cov.u.conj().T, cov, sigma_z2)
+        est = estimator(rsls_ideal(u, sigma_z2), u.conj().T, cov, sigma_z2)
         mse, stderr = monte_carlo_mse(est, trials=10_000, rng_seed=8)
         expected = sigma_z2 * 5
         assert abs(mse - expected) <= max(3 * stderr, 0.03 * expected)
@@ -137,61 +141,66 @@ class TestRslsIdeal:
 class TestPostSim:
     def test_ideal_projection_reduces_to_reduced(self):
         cov = random_rank_deficient_cov(12, 4, seed=9)
+        u, d = reduce_subspace(cov, l_fixed=cov.rank)
         rng = np.random.default_rng(10)
         r = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        v = cov.u.conj().T
+        v = u.conj().T
         y = v @ r
-        w_post, mse_post = mmse_post_sim(v, cov.u, cov.d, sigma_z2=0.3)
-        w_red, mse_red = mmse_reduced(cov.u, cov.d, sigma_z2=0.3)
+        w_post, mse_post = mmse_post_sim(v, u, d, sigma_z2=0.3)
+        w_red, mse_red = mmse_reduced(u, d, sigma_z2=0.3)
         np.testing.assert_allclose(w_post @ y, w_red @ y, rtol=1e-10)
         assert mse_post == pytest.approx(mse_red, rel=1e-10)
 
     def test_scale_invariance_of_estimate(self):
         cov = random_rank_deficient_cov(10, 3, seed=11)
+        u, d = reduce_subspace(cov, l_fixed=cov.rank)
         rng = np.random.default_rng(12)
-        v = cov.u.conj().T + 0.05 * (
+        v = u.conj().T + 0.05 * (
             rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         )
         r = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        h1 = mmse_post_sim(v, cov.u, cov.d, sigma_z2=0.2)[0] @ (v @ r)
+        h1 = mmse_post_sim(v, u, d, sigma_z2=0.2)[0] @ (v @ r)
         c = 2.7 - 0.3j
-        h2 = mmse_post_sim(c * v, cov.u, cov.d, sigma_z2=0.2)[0] @ (c * v @ r)
+        h2 = mmse_post_sim(c * v, u, d, sigma_z2=0.2)[0] @ (c * v @ r)
         np.testing.assert_allclose(h1, h2, rtol=1e-10)
 
     def test_mmse_post_sim_monte_carlo_agreement(self):
         cov = random_rank_deficient_cov(12, 4, seed=13)
+        u, d = reduce_subspace(cov, l_fixed=cov.rank)
         rng = np.random.default_rng(14)
-        v = cov.u.conj().T + 0.03 * (
+        v = u.conj().T + 0.03 * (
             rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
         )
         sigma_z2 = 0.5
-        est = estimator(mmse_post_sim(v, cov.u, cov.d, sigma_z2), v, cov, sigma_z2)
+        est = estimator(mmse_post_sim(v, u, d, sigma_z2), v, cov, sigma_z2)
         mse, stderr = monte_carlo_mse(est, trials=10_000, rng_seed=15)
         expected = est.analytic_mse
         assert abs(mse - expected) <= max(3 * stderr, 0.03 * expected)
 
     def test_rsls_ideal_projection_identity_operator(self):
         cov = random_rank_deficient_cov(10, 4, seed=16)
-        v = cov.u.conj().T
-        _, mse = rsls_post_sim(v, cov.u, sigma_z2=0.3)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
+        v = u.conj().T
+        _, mse = rsls_post_sim(v, u, sigma_z2=0.3)
         assert mse == pytest.approx(0.3 * 4, rel=1e-10)
 
     def test_rsls_in_subspace_noiseless_unbiased(self):
         cov = random_rank_deficient_cov(10, 3, seed=18)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
         rng = np.random.default_rng(19)
-        v = cov.u.conj().T + 0.1 * (
+        v = u.conj().T + 0.1 * (
             rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         )
         g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        h = cov.u @ g
-        w, _ = rsls_post_sim(v, cov.u, sigma_z2=0.2)
+        h = u @ g
+        w, _ = rsls_post_sim(v, u, sigma_z2=0.2)
         np.testing.assert_allclose(w @ (v @ h), h, rtol=1e-9)
 
     def test_rsls_degradation_within_bound_for_orthonormalized_v(self):
         # random mismatch with delta_U <= 0.1 after row orthonormalization
         cov = random_rank_deficient_cov(12, 4, seed=20)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
         rng = np.random.default_rng(21)
-        u = cov.u
         sigma_z2 = 0.7
         for trial in range(20):
             delta = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
@@ -208,17 +217,19 @@ class TestPostSim:
 
     def test_rank_deficient_operator_raises(self):
         cov = random_rank_deficient_cov(10, 3, seed=22)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
         v = np.zeros((3, 10), dtype=complex)
-        v[0] = cov.u[:, 0].conj()
+        v[0] = u[:, 0].conj()
         with pytest.raises(EstimationError):
-            rsls_post_sim(v, cov.u, sigma_z2=0.1)
+            rsls_post_sim(v, u, sigma_z2=0.1)
 
     def test_zero_row_projection_raises(self):
         cov = random_rank_deficient_cov(10, 3, seed=23)
-        v = cov.u.conj().T.copy()
+        u, d = reduce_subspace(cov, l_fixed=cov.rank)
+        v = u.conj().T.copy()
         v[1] = 0.0
         with pytest.raises(EstimationError):
-            mmse_post_sim(v, cov.u, cov.d, sigma_z2=0.1)
+            mmse_post_sim(v, u, d, sigma_z2=0.1)
 
 
 class TestOrderingAndBaseline:
@@ -232,9 +243,10 @@ class TestOrderingAndBaseline:
     def test_mmse_dominates_rsls_analytic(self):
         for seed in range(5):
             cov = random_rank_deficient_cov(12, 4, seed=seed)
+            u, d = reduce_subspace(cov, l_fixed=cov.rank)
             sigma_z2 = 0.3
-            _, mmse = mmse_reduced(cov.u, cov.d, sigma_z2)
-            _, rsls = rsls_ideal(cov.u, sigma_z2)
+            _, mmse = mmse_reduced(u, d, sigma_z2)
+            _, rsls = rsls_ideal(u, sigma_z2)
             assert mmse <= rsls + 1e-9
 
     def test_baseline_beats_truncated_only_with_truncation(self):
@@ -243,20 +255,20 @@ class TestOrderingAndBaseline:
         cov6 = random_rank_deficient_cov(12, 6, seed=26)
         sigma_z2 = 0.05
         _, baseline = mmse_full(cov6, sigma_z2)
-        truncated = covariance_from_matrix(
-            cov6.u[:, :4] @ np.diag(cov6.d[:4]) @ cov6.u[:, :4].conj().T
-        )
-        _, reduced = mmse_reduced(truncated.u, truncated.d, sigma_z2)
+        u6, d6 = reduce_subspace(cov6, l_fixed=cov6.rank)
+        truncated = covariance_from_matrix(u6[:, :4] @ np.diag(d6[:4]) @ u6[:, :4].conj().T)
+        _, reduced = mmse_reduced(*reduce_subspace(truncated, l_fixed=truncated.rank), sigma_z2)
         assert baseline < reduced + cov6.truncation_power(4) - 1e-6
-        _, full_reduced = mmse_reduced(cov6.u, cov6.d, sigma_z2)
+        _, full_reduced = mmse_reduced(u6, d6, sigma_z2)
         assert full_reduced + cov6.truncation_power(6) == pytest.approx(baseline, rel=1e-9)
 
     def test_empirical_mmse_below_rsls(self):
         cov = random_rank_deficient_cov(12, 4, seed=27)
+        u, d = reduce_subspace(cov, l_fixed=cov.rank)
         sigma_z2 = 0.5
-        u_h = cov.u.conj().T
-        mmse = estimator(mmse_reduced(cov.u, cov.d, sigma_z2), u_h, cov, sigma_z2)
-        rsls = estimator(rsls_ideal(cov.u, sigma_z2), u_h, cov, sigma_z2)
+        u_h = u.conj().T
+        mmse = estimator(mmse_reduced(u, d, sigma_z2), u_h, cov, sigma_z2)
+        rsls = estimator(rsls_ideal(u, sigma_z2), u_h, cov, sigma_z2)
         mse_mmse, _ = monte_carlo_mse(mmse, trials=4000, rng_seed=28)
         mse_rsls, _ = monte_carlo_mse(rsls, trials=4000, rng_seed=28)
         assert mse_mmse <= mse_rsls
@@ -265,14 +277,16 @@ class TestOrderingAndBaseline:
 class TestMonteCarlo:
     def test_stderr_scales_inverse_sqrt(self):
         cov = random_rank_deficient_cov(8, 3, seed=29)
-        est = estimator(rsls_ideal(cov.u, 0.2), cov.u.conj().T, cov, 0.2)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
+        est = estimator(rsls_ideal(u, 0.2), u.conj().T, cov, 0.2)
         _, se_small = monte_carlo_mse(est, trials=100, rng_seed=30)
         _, se_big = monte_carlo_mse(est, trials=10_000, rng_seed=30)
         assert se_small / se_big == pytest.approx(10.0, rel=0.5)
 
     def test_requires_minimum_trials(self):
         cov = random_rank_deficient_cov(8, 3, seed=31)
-        est = estimator(rsls_ideal(cov.u, 0.2), cov.u.conj().T, cov, 0.2)
+        u, _ = reduce_subspace(cov, l_fixed=cov.rank)
+        est = estimator(rsls_ideal(u, 0.2), u.conj().T, cov, 0.2)
         with pytest.raises(ConfigurationError):
             monte_carlo_mse(est, trials=10, rng_seed=0)
 

@@ -38,7 +38,7 @@ class TestLocalize:
         ys = np.linspace(-0.1, 0.1, 33)
         p_true = np.array([xs[20], ys[7]])  # exactly on the coarse grid
         h = 1.8 * np.exp(1j * 0.9) * steering_vector(geom, p_true)
-        p_hat, score = localize(h, geom, region, cfg)
+        (p_hat,), (score,) = localize(h[None], geom, region, cfg)
         np.testing.assert_allclose(p_hat, p_true, atol=1e-12)
         assert score == pytest.approx(1.0, rel=1e-12)
 
@@ -65,7 +65,7 @@ class TestLocalize:
                     rng.standard_normal(16) + 1j * rng.standard_normal(16)
                 ) / np.sqrt(2)
             scores = correlation_scores(geom, fine_pts, h)
-            p_hat, score_hat = localize(h, geom, region, cfg)
+            (p_hat,), (score_hat,) = localize(h[None], geom, region, cfg)
             assert score_hat >= scores.max() - 1e-6
             if trial % 2 == 0:
                 assert np.linalg.norm(p_hat - p_true) <= 1e-3
@@ -75,8 +75,8 @@ class TestLocalize:
         region = UncertaintyRegion(center=(0.4, 0.0), diameter=0.2)
         rng = np.random.default_rng(1)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        p1, s1 = localize(h, geom, region)
-        p2, s2 = localize((2.3 - 1.1j) * h, geom, region)
+        (p1,), (s1,) = localize(h[None], geom, region)
+        (p2,), (s2,) = localize((2.3 - 1.1j) * h[None], geom, region)
         np.testing.assert_allclose(p1, p2, atol=1e-15)
         assert s1 == pytest.approx(s2, rel=1e-12)
 
@@ -95,7 +95,6 @@ class TestLocalize:
             positions=geom.positions @ rot.T,
             layers=geom.layers,
             elements_per_layer=geom.elements_per_layer,
-            spacing=geom.spacing,
             layer_spacing=geom.layer_spacing,
             wavelength=geom.wavelength,
             aperture=geom.aperture,
@@ -112,8 +111,8 @@ class TestLocalize:
             noise = 0.1 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)) / np.sqrt(2)
             h = steering_vector(geom, p_true) + noise
             h_rot = steering_vector(geom_rot, rot2 @ p_true) + noise
-            p_hat, _ = localize(h, geom, region, cfg)
-            p_hat_rot, _ = localize(h_rot, geom_rot, region_rot, cfg)
+            (p_hat,), _ = localize(h[None], geom, region, cfg)
+            (p_hat_rot,), _ = localize(h_rot[None], geom_rot, region_rot, cfg)
             errs.append(np.linalg.norm(p_hat - p_true))
             errs_rot.append(np.linalg.norm(p_hat_rot - rot2 @ p_true))
         rmse = np.sqrt(np.mean(np.square(errs)))
@@ -124,7 +123,7 @@ class TestLocalize:
         geom = desk_geometry()
         region = UncertaintyRegion(center=(0.4, 0.0), diameter=0.2)
         with pytest.raises(EstimationError):
-            localize(np.zeros(16, dtype=complex), geom, region)
+            localize(np.zeros((1, 16), dtype=complex), geom, region)
         batch = np.ones((3, 16), dtype=complex)
         batch[1] = 0.0
         with pytest.raises(EstimationError):
@@ -139,7 +138,7 @@ class TestLocalize:
         h = steering_vector(geom, np.array([0.42, 0.03]))
         h[5] = bad
         with pytest.raises(EstimationError):
-            localize(h, geom, region)
+            localize(h[None], geom, region)
         batch = np.stack([steering_vector(geom, np.array([0.38, -0.02])), h])
         with pytest.raises(EstimationError):
             localize(batch, geom, region)
@@ -166,17 +165,23 @@ class TestLocalize:
         p_hats, scores = localize(batch, geom, region, cfg)
         assert p_hats.shape == (n, 2) and scores.shape == (n,)
         for r in range(n):
-            p_hat, score = localize(batch[r], geom, region, cfg)
-            assert isinstance(p_hat, np.ndarray) and p_hat.shape == (2,)
-            assert type(score) is float
-            np.testing.assert_array_equal(p_hats[r], p_hat)
-            assert scores[r] == score
+            p_hat, score = localize(batch[r : r + 1], geom, region, cfg)
+            np.testing.assert_array_equal(p_hats[r : r + 1], p_hat)
+            np.testing.assert_array_equal(scores[r : r + 1], score)
+
+    def test_rejects_a_single_unbatched_estimate(self):
+        # the batch (n, K) is the only form; one estimate is a batch of one
+        geom = desk_geometry()
+        region = UncertaintyRegion(center=(0.4, 0.0), diameter=0.2)
+        h = steering_vector(geom, np.array([0.42, 0.03]))
+        with pytest.raises(EstimationError, match="batch"):
+            localize(h, geom, region)
 
     def test_rejects_degenerate_region(self):
         geom = desk_geometry()
         region = UncertaintyRegion(center=(0.4, 0.0), diameter=0.0)
         with pytest.raises(ConfigurationError):
-            localize(np.ones(16, dtype=complex), geom, region)
+            localize(np.ones((1, 16), dtype=complex), geom, region)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,12 +1,16 @@
-"""The benchmark's traced run wraps simloc functions by name; a renamed or
-deleted function must fail here rather than in the benchmark."""
+"""The benchmark's traced run wraps simloc functions by name, and its
+workloads call simloc by name; a renamed or deleted function must fail
+here rather than in the benchmark."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
+import simloc.cli
 import simloc.localizer
 import simloc.simopt
 import simloc.sweep
@@ -20,14 +24,78 @@ from simloc.geometry import (
 )
 from simloc.multiport import build_sim_network
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_by_path("perfbench_tracing", TRACING)
+
+
+def _simloc_object(path):
+    """The object a dotted ``simloc...`` path names; AttributeError or
+    ImportError if there is none."""
+    parts = path.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            obj = importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+def _simloc_path(node):
+    """``simloc.a.b`` for an attribute chain rooted at the name simloc."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "simloc":
+        return ".".join(["simloc", *reversed(parts)])
+    return None
+
+
+def test_workload_set_ups_build_and_their_simloc_names_exist(tmp_path):
+    # every simloc.<module>.<name> the workloads use, and each keyword they
+    # pass to one, exists; the desk set-ups build and their CLI argv parse
+    tree = ast.parse(WORKLOADS.read_text())
+    paths, keywords = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "simloc":
+            paths |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            paths |= {a.name for a in node.names if a.name.split(".")[0] == "simloc"}
+        elif isinstance(node, ast.Attribute) and _simloc_path(node):
+            paths.add(_simloc_path(node))
+        elif isinstance(node, ast.Call) and _simloc_path(node.func):
+            keywords += [(_simloc_path(node.func), k.arg) for k in node.keywords]
+    assert {"simloc.channel.estimate_covariance", "simloc.sweep.run_sweep"} <= paths
+    missing = []
+    for path in sorted(paths):
+        try:
+            _simloc_object(path)
+        except (AttributeError, ImportError):
+            missing.append(path)
+    assert not missing, f"perfbench/workloads.py uses missing {missing}"
+    for path, keyword in keywords:
+        assert keyword in inspect.signature(_simloc_object(path)).parameters, (path, keyword)
+
+    workloads = load_by_path("perfbench_workloads", WORKLOADS)
+    pipeline = workloads.DeskPipeline(1, tmp_path)
+    parser = simloc.cli.build_parser()
+    for argv in pipeline.argvs:
+        parser.parse_args(argv)
+    sweep_cell = workloads.DeskSweep(1, tmp_path)
+    assert sweep_cell.cfg.sweep.distances_m == (workloads.SWEEP_CELL[0],)
 
 
 def test_traced_names_exist_and_install_round_trips():

@@ -1,5 +1,9 @@
+import csv
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import astuple, replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from simloc.multiport import (
 from simloc.simopt import calibrate_projection
 from simloc.sweep import (
     RECORD_HEADER,
+    ResultRecord,
     _cell_seed,
     _localizer_draws,
     _rmse,
@@ -51,6 +56,14 @@ _SMALL_SCENARIO = {
     "optimizer": {"max_iters": 40, "restarts": 1, "seed": 0},
     "sweep": {"trials": 100, "seed": 1},
 }
+
+
+def desk_doc(**overrides):
+    """The desk-scale preset document with some keys of its blocks replaced."""
+    doc = json.loads(resources.files("simloc.presets").joinpath("desk_scale.json").read_text())
+    for block, values in overrides.items():
+        doc[block].update(values)
+    return doc
 
 
 def tiny_scenario(**overrides):
@@ -149,6 +162,19 @@ class TestRunCell:
         par = run_sweep(cfg2, with_localizer=False)
         assert [r.row() for r in seq] == [r.row() for r in par]
 
+    def test_negative_snr_leaves_the_other_snrs_unchanged(self):
+        # SeedSequence takes no negative word, so a negative SNR once made
+        # the sweep raise ValueError; its draws now seed from its magnitude
+        # and a marker, and every other SNR keeps its seeds
+        both = run_cell(
+            tiny_scenario(noise={"snr_db": [-5.0, 5.0]}, sweep={"trials": 100}), 0.25, 0.0, 0
+        )
+        alone = run_cell(tiny_scenario(sweep={"trials": 100}), 0.25, 0.0, 0)
+        assert [r.row() for r in both if r.snr_db != -5.0] == [r.row() for r in alone]
+        negative = [r for r in both if r.snr_db == -5.0]
+        assert {r.metric for r in negative} >= {"mse_empirical", "peb_m", "rmse_m"}
+        assert all(np.isfinite(r.value) for r in negative)
+
     def test_eta_cell_uses_file_impedance(self, tmp_path):
         cfg = tiny_scenario()
         sim_geom, rx_geom = build_sim_geometry(cfg.geometry)
@@ -235,7 +261,7 @@ class TestLocalizerRmse:
             theta = rng.random() * 2.0 * np.pi
             h = cfg.gain.mean_gain * np.exp(1j * theta) * a
             noise = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(sigma_n2)
-            p_hat, _ = localize(h + noise, geom, region, cfg.localizer)
+            (p_hat,), _ = localize((h + noise)[None], geom, region, cfg.localizer)
             sq[t] = float(np.sum((p_hat - center) ** 2))
         expected = (float(np.sqrt(sq.mean())), float(sq.std(ddof=1) / np.sqrt(trials)))
         h_hat = _localizer_draws(geom, region, cfg, sigma_n2, trials, seed)
@@ -265,7 +291,54 @@ class TestLocalizerRmse:
             np.testing.assert_array_equal(s_all[i * trials : (i + 1) * trials], s_one)
 
 
+# The record file's layout before its columns were declared on ResultRecord,
+# kept as the reference the declared form must reproduce byte for byte.
+_REFERENCE_HEADER = [
+    "scenario_id", "tag", "distance_m", "bearing_rad", "snr_db", "metric", "value",
+    "stderr", "provenance",
+]
+
+
+def _reference_row(r):
+    return [
+        r.scenario_id, r.tag, repr(r.distance_m), repr(r.bearing_rad), repr(r.snr_db),
+        r.metric, repr(r.value), repr(r.stderr), r.provenance,
+    ]
+
+
+# Python 3.10's csv reader rejects NUL, and a lone surrogate has no UTF-8 form
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8
+)
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_RECORDS = st.lists(
+    st.builds(
+        ResultRecord, scenario_id=_TEXT, tag=_TEXT, distance_m=_FLOAT, bearing_rad=_FLOAT,
+        snr_db=_FLOAT, metric=_TEXT, value=_FLOAT, stderr=_FLOAT, provenance=_TEXT,
+    ),
+    max_size=6,
+)
+
+
 class TestRecordsIo:
+    @settings(max_examples=100, deadline=None)
+    @given(records=_RECORDS)
+    def test_codec_round_trip_and_reference_bytes(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = Path(tmp) / "records.csv", Path(tmp) / "reference.csv"
+            save_records(path, records)
+            with open(reference, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(_REFERENCE_HEADER)
+                writer.writerows(_reference_row(r) for r in records)
+            assert path.read_bytes() == reference.read_bytes()
+            loaded = load_records(path)
+        assert [r.row() for r in loaded] == [r.row() for r in records]
+        for got, want in zip(loaded, records):
+            assert all(
+                x == y or (x != x and y != y) for x, y in zip(astuple(got), astuple(want))
+            )
+
     def test_round_trip(self, tmp_path):
         cfg = tiny_scenario()
         records = run_cell(cfg, 0.25, 0.0, 0, with_localizer=False)
@@ -369,10 +442,17 @@ class TestCli:
             ("covariance", "seed", -1),
             ("optimizer", "seed", -1),
             ("sweep", "seed", -1),
+            ("covariance", "rank_threshold", 2.0),
+            ("sweep", "distances_m", [0.3, -0.3]),
+            ("sweep", "bearings_rad", [0.0, 2.0]),
+            ("reduction", "outputs", 9),
+            ("noise", "snr_db", [float("nan")]),
         ],
         ids=[
             "string-iters", "list-trials", "null-beta",
             "negative-covariance-seed", "negative-optimizer-seed", "negative-sweep-seed",
+            "rank-threshold-above-one", "sweep-distance-negative", "sweep-bearing-behind-array",
+            "outputs-above-elements", "nan-snr",
         ],
     )
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, block, key, value):
@@ -505,6 +585,41 @@ class TestCli:
         code = main(["estimate", "--config", str(cfg_path), "--projection", str(proj_path),
                      "--out-dir", str(tmp_path / "est")])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("command", ["estimate", "bounds"])
+    def test_singular_full_array_mmse_is_numerical_error(self, tmp_path, capsys, command):
+        # K = 2, a point region, 200 dB and a gain of 1e8: sigma_z^2 ~ 1e-4
+        # against lambda_1 ~ 2.5e16 makes R_h + sigma_z^2 I singular in floats
+        doc = desk_doc(
+            geometry={"k_y": 2, "layers": 2}, reduction={"outputs": 2},
+            region={"diameter_m": 0.0}, noise={"snr_db": [200.0]}, gain={"mean_gain": 1e8},
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert len(err.strip().splitlines()) == 1
+        assert "digital-baseline" in err
+
+    @pytest.mark.parametrize(
+        "argv, snr_db", [(["bounds"], 140.0), (["sweep", "--no-sim"], 200.0)],
+        ids=["bounds-140dB", "sweep-200dB"],
+    )
+    def test_exact_estimate_residual_is_numerical_error(self, tmp_path, capsys, argv, snr_db):
+        # at a point region the exact MMSE residual over K rounds to <= 0:
+        # a numerical outcome of a legal document, not a configuration error
+        doc = desk_doc(
+            region={"diameter_m": 0.0}, noise={"snr_db": [snr_db]},
+            sweep={"distances_m": [0.4], "bearings_rad": [0.0], "trials": 100},
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main([*argv, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert len(err.strip().splitlines()) == 1
+        assert "position error bound" in err
 
     def test_bounds_peb_noise_is_exact_mmse_residual(self, tmp_path):
         # bounds must map the same residual into the PEB as the sweep does:
@@ -663,7 +778,13 @@ class TestCli:
         assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "row", ["d0.3_b0,sim,0.3,zero,nan,x,1,0,a", "d0.3_b0,sim,0.3,0.0,nan,x"]
+        "row",
+        [
+            "d0.3_b0,sim,0.3,zero,nan,x,1,0,a",
+            "d0.3_b0,sim,0.3,0.0,nan,x",
+            "d0.3_b0,sim,0.3,0.0,nan,x,1,0,a,extra",
+            pytest.param("x" * 200_000 + ",sim,0.3,0.0,nan,x,1,0,a", id="oversized-field"),
+        ],
     )
     def test_malformed_records_are_config_error(self, tmp_path, capsys, row):
         rec_path = tmp_path / "sweep.csv"
@@ -708,6 +829,53 @@ class TestCli:
         assert code in (0, 4)
         assert (tmp_path / "opt" / "eta.rvec").exists()
         assert calls["n"] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k_y=st.integers(1, 4),
+    layers=st.integers(1, 2),
+    outputs=st.integers(1, 3),
+    diameter=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    distance=st.floats(0.01, 5.0),
+    bearing=st.floats(-1.5, 1.5),
+    snr_db=st.lists(
+        st.one_of(st.floats(-300.0, 400.0), st.sampled_from([-300.0, 140.0, 200.0, 300.0])),
+        min_size=1, max_size=2,
+    ),
+    log_gain=st.one_of(st.floats(-150.0, 150.0), st.sampled_from([-100.0, 0.0, 8.0, 100.0])),
+    shadowing_db=st.floats(0.0, 30.0),
+    log_x0=st.floats(-12.0, 12.0),
+    samples=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_tiny_scenarios_end_in_a_documented_exit(
+    k_y, layers, outputs, diameter, distance, bearing, snr_db, log_gain, shadowing_db, log_x0,
+    samples, seed,
+):
+    # every command on any tiny scenario ends in 0, 2, 3, 4 or 5; anything
+    # else escapes main() and fails the test with its traceback
+    doc = {
+        "geometry": {"k_y": k_y, "k_z": 1, "layers": layers, "carrier_frequency_hz": 28e9},
+        "region": {"distance_m": distance, "bearing_rad": bearing, "diameter_m": diameter},
+        "gain": {"mean_gain": 10.0**log_gain, "shadowing_std_db": shadowing_db},
+        "reduction": {"outputs": outputs},
+        "noise": {"snr_db": snr_db},
+        "covariance": {"samples": samples, "seed": seed},
+        "impedance": {"x0": 10.0**log_x0},
+        "sweep": {"bearings_rad": [bearing], "trials": 100, "seed": seed},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, eta_path = Path(tmp) / "cfg.json", Path(tmp) / "eta.rvec"
+        cfg_path.write_text(json.dumps(doc))
+        rng = np.random.default_rng(seed)
+        save_real_vector(eta_path, rng.uniform(-np.pi, np.pi, k_y * layers))
+        for argv in (
+            ["covariance"], ["estimate"], ["bounds"], ["bounds", "--eta", str(eta_path)],
+            ["sweep", "--no-sim", "--no-localizer"],
+        ):
+            code = main([*argv, "--config", str(cfg_path), "--out-dir", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3, 4, 5), argv
 
 
 class TestCliPipelines:
