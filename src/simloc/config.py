@@ -9,10 +9,11 @@ One block reader checks a block's keys against the table ``_BLOCKS`` of key
 -> kind and returns only the keys the file sets; the block then becomes its
 dataclass (``GainModel(**block)``). So every default lives on that
 dataclass and every range check in its ``__post_init__``; only
-``noise.snr_db``, ``impedance.provider`` and ``sweep.distances_m`` (the
-region distance) default here. Unknown keys, mistyped values (null where a
-number is due among them) and out-of-range values fail with the key named;
-a null list, pair or string means the key is absent.
+``noise.snr_db`` and ``sweep.distances_m`` (the region distance) default
+here. ``impedance.file``, when set, selects the file provider. Unknown keys,
+mistyped values (null where a number is due among them) and out-of-range
+values fail with the key named; a null list, pair or string means the key
+is absent.
 
 Two presets ship with the package: ``desk-scale`` (16x1 elements, 3 layers,
 4 outputs), small enough for per-cell surface optimization in tests, and
@@ -117,6 +118,8 @@ class ScenarioConfig:
     sweep: SweepConfig
 
     def __post_init__(self) -> None:
+        if self.impedance_file == "":
+            raise ConfigurationError("impedance.file must not be empty")
         if self.outputs < 1:
             raise ConfigurationError("reduction.outputs must be at least 1")
         if self.outputs > self.geometry.k_y * self.geometry.k_z:
@@ -192,7 +195,7 @@ _BLOCKS = {
     "noise": {"snr_db": tuple},
     "covariance": {"samples": int, "rank_threshold": float, "seed": int},
     "impedance": {
-        "provider": str, "file": str, "z_self": complex, "beta": float, "gamma": complex,
+        "file": str, "z_self": complex, "beta": float, "gamma": complex,
         "x0": float, "port_offset_wavelengths": float,
     },
     "optimizer": {"max_iters": int, "complement_weights": tuple, "restarts": int, "seed": int},
@@ -240,14 +243,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     region = RegionConfig(**_block(doc, "region", ("distance_m", "diameter_m")))
 
     impedance = _block(doc, "impedance")
-    provider = impedance.pop("provider", "analytic")
     impedance_file = impedance.pop("file", None)
-    if provider not in ("analytic", "file"):
-        raise ConfigurationError("impedance.provider must be 'analytic' or 'file'")
-    if provider == "file" and not impedance_file:
-        raise ConfigurationError("impedance.provider 'file' needs impedance.file")
-    if provider != "file" and impedance_file is not None:
-        raise ConfigurationError("impedance.file is only read by the 'file' provider")
 
     optimizer = _block(doc, "optimizer")
     if "seed" in optimizer:

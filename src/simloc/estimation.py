@@ -58,7 +58,7 @@ def mmse_reduced(u: np.ndarray, d: np.ndarray, sigma_z2: float) -> Tuple[np.ndar
     """MMSE from the sufficient statistic y = U^H r of the rank-L model
     U diag(d) U^H."""
     shrink = d / (d + sigma_z2)
-    return u * shrink, float(np.sum(d * sigma_z2 / (d + sigma_z2)))
+    return u * shrink, float(np.sum(sigma_z2 * shrink))  # no d * sigma_z^2 to overflow
 
 
 def rsls_ideal(u: np.ndarray, sigma_z2: float) -> Tuple[np.ndarray, float]:
@@ -189,7 +189,8 @@ def monte_carlo_mse(est: LinearEstimator, *, trials: int, rng_seed: int) -> Tupl
 
     Channels are drawn from the Gaussian model CN(0, R_h) with the full-rank
     covariance; interference is white complex Gaussian with the estimator's
-    noise variance.
+    noise variance. A mean or standard error that is not finite raises
+    :class:`EstimationError`.
     """
     if trials < 100:
         raise ConfigurationError("need at least 100 trials")
@@ -206,4 +207,9 @@ def monte_carlo_mse(est: LinearEstimator, *, trials: int, rng_seed: int) -> Tupl
         sq_errors[done : done + b] = np.sum(np.abs(h - h_hat) ** 2, axis=0)
     mse = float(sq_errors.mean())
     stderr = float(sq_errors.std(ddof=1) / np.sqrt(trials))
+    if not (np.isfinite(mse) and np.isfinite(stderr)):
+        raise EstimationError(
+            f"Monte Carlo MSE is not finite (mean {mse:.3e}, stderr {stderr:.3e}); "
+            "the squared errors leave the float range"
+        )
     return mse, stderr

@@ -20,20 +20,22 @@ reciprocal condition number it yields is only compared against
 keeps the factorization.
 
 Ports sit on the two faces of their layer: the input port of a cell at
-x - port_offset/2, the output port at x + port_offset/2. Mutual coupling
+x - port_offset/2, the output port at x + port_offset/2. Cell c, counted
+layer-major, has input port 2c and output port 2c + 1. Mutual coupling
 decays with the true port separation, which gives adjacent layers a strong
 forward (output-face to input-face) path.
 
-Signal path: the incident field drives the first-layer input ports (columns
-of E_in); the receiver observes the open-circuit voltages that the port
-currents induce on its antennas (rows of C_out), giving the effective
-K -> M projection V(eta) = C_out @ T(eta) @ E_in.
+Signal path: the incident field drives the first-layer input ports
+0, 2, ..., 2K - 2 (columns of E_in); the receiver observes the open-circuit
+voltages that the port currents induce on its antennas (rows of C_out),
+giving the effective K -> M projection V(eta) = C_out @ T(eta) @ E_in.
+:class:`SimNetwork` holds that port map and runs every solve with T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,16 +72,6 @@ class ImpedanceParams:
             raise ConfigurationError("impedance.x0 must be positive")
         if self.port_offset_wavelengths < 0:
             raise ConfigurationError("impedance.port_offset_wavelengths must be nonnegative")
-
-
-def port_index(layer: int, element: int, side: str, elements_per_layer: int) -> int:
-    """Flat port index for (layer, element, side), side in {'in', 'out'}."""
-    base = 2 * (layer * elements_per_layer + element)
-    if side == "in":
-        return base
-    if side == "out":
-        return base + 1
-    raise ConfigurationError(f"unknown port side {side!r}")
 
 
 def port_positions(geometry: ArrayGeometry, params: ImpedanceParams) -> np.ndarray:
@@ -151,8 +143,7 @@ def build_output_coupling(
     receiver back-action neglected)."""
     ppos = port_positions(geometry, params)
     k = geometry.elements_per_layer
-    last = geometry.layers - 1
-    out_ports = np.array([port_index(last, e, "out", k) for e in range(k)])
+    out_ports = 2 * np.arange(geometry.total_elements - k, geometry.total_elements) + 1
     d = pairwise_distances(receiver.positions, ppos[out_ports])
     m = mutual_coupling(d, params.beta, geometry.wavelength)
     c_out = np.zeros((len(receiver.positions), 2 * geometry.total_elements), dtype=complex)
@@ -207,9 +198,9 @@ class SimNetwork:
         np.fill_diagonal(mag, 0.0)
         self._offdiag_colsum = mag.sum(axis=0)  # the 1-norm's static part
         self._gecon, self._getrs = sla.get_lapack_funcs(("gecon", "getrs"), (self._work,))
-        self._input_ports = np.array(
-            [port_index(0, e, "in", elements_per_layer) for e in range(elements_per_layer)]
-        )
+        # the ports the incident field drives; an index array, so that rows
+        # taken with it are a contiguous copy, not a strided view
+        self.input_ports = np.arange(0, 2 * elements_per_layer, 2)
 
     # -- configuration ----------------------------------------------------
 
@@ -239,10 +230,6 @@ class SimNetwork:
         self._eta = eta
         self._tan_half = np.tan(eta / 2.0)
         self._fact = None
-
-    def input_port_indices(self) -> np.ndarray:
-        """Ports driven by the incident field: first-layer input ports."""
-        return self._input_ports.copy()
 
     def load_diagonal(self) -> np.ndarray:
         """Diagonal of Z_s(eta): both ports of cell c carry
@@ -288,6 +275,30 @@ class SimNetwork:
             raise ValueError(f"illegal value in {-info}th argument of getrs")
         return x
 
+    def adjoint(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(V, B)`` from one M-column solve: B = T C_out^T, and, as Z_ss +
+        Z_s(eta) is symmetric, V = (E_in^T B)^T."""
+        b = self.solve(self.c_out.T)  # plain transpose
+        return b[self.input_ports, :].T, b
+
+    def phase_gradient(self, b: np.ndarray, residual: np.ndarray, scale: complex) -> np.ndarray:
+        """Analytic gradient of ||scale * V - Y||^2 (weighted or not) with
+        respect to every phase, from B of :meth:`adjoint` and the objective's
+        residual R (scale * V - Y, or its weighted form).
+
+        With T = inv(Z_ss + Z_s(eta)), dT/deta_m = -T (dZ_s/deta_m) T, and
+        dZ_s/deta_m touches only the two ports of cell m. So the gradient
+        costs M forward solves beyond the adjoint's M, never forming T: the
+        forward right-hand side is R^H scattered onto the input ports
+        (E_in R^H), and cell m sums the diagonal of (T E_in R^H)(C_out T)
+        over its two ports, times its reactance slope."""
+        rhs = np.zeros((self.n_ports, residual.shape[0]), dtype=complex, order="F")
+        rhs[self.input_ports] = residual.conj().T
+        p = self.solve(rhs)
+        w = (p * b).sum(axis=1)  # diag of (T E_in) R^H (C_out T)
+        w_cell = w[0::2] + w[1::2]
+        return -2.0 * self.reactance_slope() * np.real(1j * scale * w_cell)
+
 
 def build_sim_network(
     geometry: ArrayGeometry,
@@ -328,27 +339,18 @@ def build_network(
 # -- effective projection ---------------------------------------------------
 
 
-def input_embedding(net: SimNetwork) -> np.ndarray:
-    """E_in: canonical unit columns selecting first-layer input ports."""
-    e = np.zeros((net.n_ports, net.n_inputs), dtype=complex)
-    e[net.input_port_indices(), np.arange(net.n_inputs)] = 1.0
-    return e
-
-
 def effective_projection_matrix(net: SimNetwork) -> np.ndarray:
     """V(eta) = C_out @ T(eta) @ E_in via one solve per input column."""
-    t_cols = net.solve(input_embedding(net))
-    return net.c_out @ t_cols
+    e_in = np.zeros((net.n_ports, net.n_inputs), dtype=complex)
+    e_in[net.input_ports, np.arange(net.n_inputs)] = 1.0
+    return net.c_out @ net.solve(e_in)
 
 
 def effective_projection_rowsolve(net: SimNetwork) -> np.ndarray:
-    """Same matrix computed through network reciprocity.
-
-    Z total is symmetric, so T is too, and V^T = E_in^T @ T @ C_out^T;
-    this costs one solve per receiver chain instead of per input element.
-    """
-    b = net.solve(net.c_out.T)  # T @ C_out^T, plain transpose
-    return b[net.input_port_indices(), :].T
+    """Same matrix computed through network reciprocity
+    (:meth:`SimNetwork.adjoint`): one solve per receiver chain instead of
+    per input element."""
+    return net.adjoint()[0]
 
 
 def row_orthonormality_gap(v: np.ndarray) -> float:

@@ -48,13 +48,11 @@ cap, or no further progress). Q^H and Y do not depend on the weighting,
 so a state of any stage needs only the gain c_f at the final weight: the
 rule's delta_U is that of the L x L residual c_f V U - Q^H.
 
-The gradient is analytic throughout: with T = inv(Z_ss + Z_s(eta)),
-dT/deta_m = -T (dZ_s/deta_m) T, and dZ_s/deta_m touches only the two ports
-of cell m, so one evaluation costs one factorization, made in place in the
-network's work buffer, plus M adjoint and M forward solves, never forming
-T. The forward right-hand side is the weighted residual scattered onto the
-input ports. The delta metrics of an evaluation are computed only when the
-stop rule or a trace row reads them.
+The gradient is analytic throughout (:meth:`SimNetwork.phase_gradient`,
+on the weighted residual): one evaluation costs one factorization, made in
+place in the network's work buffer, plus the M adjoint solves of
+:meth:`SimNetwork.adjoint` and M forward solves. The delta metrics of an
+evaluation are computed only when the stop rule or a trace row reads them.
 
 Every optimizer evaluation and every calibration takes one path: Q, then
 c, concentrated at a complement weight (W^2 = I at w = 1). The bare
@@ -181,7 +179,7 @@ class _EvalState:
     target_eff: np.ndarray  # Y = (U Q)^H
     delta: np.ndarray  # c V - Y
     u: np.ndarray
-    b: Optional[np.ndarray]  # T @ C_out^T, reused by the gradient's adjoint pass
+    b: Optional[np.ndarray]  # B = T C_out^T of net.adjoint(), reused by the gradient
     vu: np.ndarray
     q_h: np.ndarray
     delta_on_u: np.ndarray  # Delta U = c V U - Q^H
@@ -242,18 +240,8 @@ def _residual(state: _EvalState, w_perp: float) -> np.ndarray:
 
 
 def _evaluate(net: SimNetwork, u: np.ndarray, w_perp: float) -> _EvalState:
-    b = net.solve(net.c_out.T)  # adjoint pass, M columns
-    return _concentrate(b[net.input_port_indices(), :].T, u, w_perp, b)
-
-
-def _gradient_from_state(net: SimNetwork, state: _EvalState, residual: np.ndarray) -> np.ndarray:
-    # forward pass, M columns: E_in R^H, R^H scattered onto the input ports
-    rhs = np.zeros((net.n_ports, residual.shape[0]), dtype=complex, order="F")
-    rhs[net.input_port_indices()] = residual.conj().T
-    p = net.solve(rhs)
-    w = (p * state.b).sum(axis=1)  # diag of (T E_in) R^H (C_out T)
-    w_cell = w[0::2] + w[1::2]
-    return -2.0 * net.reactance_slope() * np.real(1j * state.scale * w_cell)
+    v, b = net.adjoint()
+    return _concentrate(v, u, w_perp, b)
 
 
 # -- spec surface: bare objective and gradient --------------------------------
@@ -273,8 +261,7 @@ def _bare_state(net: SimNetwork, target: np.ndarray) -> _EvalState:
     """The state of ||c V - target||_F^2 with only the gain c concentrated:
     no rotation, no weighting."""
     y = np.ascontiguousarray(_check_target(net, target))  # the norm sums in memory order
-    b = net.solve(net.c_out.T)
-    v = b[net.input_port_indices(), :].T
+    v, b = net.adjoint()
     u = y.conj().T
     vu, q_h = v @ u, np.eye(len(y))
     c = _gain(v, y, vu, q_h, 1.0)  # unrotated (Q = I), unweighted (w = 1)
@@ -293,7 +280,7 @@ def objective(net: SimNetwork, target: np.ndarray) -> float:
 def gradient(net: SimNetwork, target: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`objective` with respect to every phase."""
     state = _bare_state(net, target)
-    return _gradient_from_state(net, state, state.delta)
+    return net.phase_gradient(state.b, state.delta, state.scale)
 
 
 def finite_difference_gradient(
@@ -463,7 +450,8 @@ def _lbfgs_stage(
         state = _evaluate(net, u, w_perp)
         if _meets_target(state, cfg):
             return None
-        return state.objective, _gradient_from_state(net, state, _residual(state, w_perp)), state
+        grad = net.phase_gradient(state.b, _residual(state, w_perp), state.scale)
+        return state.objective, grad, state
 
     last = eta  # the phases of the previous trace row
 

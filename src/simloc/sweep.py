@@ -192,7 +192,14 @@ def run_cell(
     """Evaluate one (distance, bearing) cell across the configured SNRs.
 
     Given phases ``eta`` set the surface; without them ``sweep.sim``
-    decides whether it is optimized for the cell or left out."""
+    decides whether it is optimized for the cell or left out. The
+    localizer searches the prior region, so it needs one of positive
+    diameter; a point region raises before any work is done."""
+    if with_localizer and cfg.region.diameter_m <= 0.0:
+        raise ConfigurationError(
+            "region.diameter_m is 0: the localizer has no prior region to search "
+            "(give a positive diameter, or pass --no-localizer)"
+        )
     region = region_at(distance, bearing, cfg.region.diameter_m)
     sim_geom, rx_geom, cov, u, d = point_model(
         cfg, region, _cell_seed(cfg.covariance.seed, cell_index)

@@ -65,7 +65,7 @@ class TestParseConfig:
     def test_null_means_absent_only_for_lists_pairs_and_strings(self):
         doc = minimal_doc()
         doc["noise"] = {"snr_db": None}
-        doc["impedance"] = {"provider": None, "z_self": None, "file": None}
+        doc["impedance"] = {"z_self": None, "file": None}
         doc["sweep"] = {"distances_m": None, "sim": None}
         cfg = parse_config(doc)
         assert cfg.snr_db == (0.0, 10.0)
@@ -203,19 +203,15 @@ class TestParseConfig:
         assert cfg.impedance.z_self == 50.0 + 20.0j
         assert cfg.impedance.gamma == 15.0 + 0j
 
-    def test_file_provider_requires_path(self):
+    def test_impedance_file_alone_selects_the_file_provider(self):
         doc = minimal_doc()
-        doc["impedance"] = {"provider": "file"}
+        doc["impedance"] = {"file": "z.cmat"}
+        assert parse_config(doc).impedance_file == "z.cmat"
+        doc["impedance"] = {"file": ""}
         with pytest.raises(ConfigurationError, match="impedance.file"):
             parse_config(doc)
-
-    def test_analytic_provider_rejects_file(self):
-        doc = minimal_doc()
-        doc["impedance"] = {"provider": "analytic", "file": "z.cmat"}
-        with pytest.raises(ConfigurationError, match="impedance.file"):
-            parse_config(doc)
-        del doc["impedance"]["provider"]  # analytic is the default
-        with pytest.raises(ConfigurationError, match="impedance.file"):
+        doc["impedance"] = {"provider": "file"}  # the file key is the switch
+        with pytest.raises(ConfigurationError, match="unknown key impedance.provider"):
             parse_config(doc)
 
 
@@ -301,7 +297,7 @@ class TestLoadConfig:
 
     def test_missing_impedance_file(self, tmp_path):
         doc = minimal_doc()
-        doc["impedance"] = {"provider": "file", "file": "zss.cmat"}
+        doc["impedance"] = {"file": "zss.cmat"}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError, match="zss.cmat"):
@@ -310,7 +306,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("value", [5, ["z.cmat"], True])
     def test_non_string_impedance_file_is_config_error(self, tmp_path, value):
         doc = minimal_doc()
-        doc["impedance"] = {"provider": "file", "file": value}
+        doc["impedance"] = {"file": value}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError, match="impedance.file"):
@@ -319,7 +315,7 @@ class TestLoadConfig:
 
     def test_impedance_file_resolved_beside_config(self, tmp_path):
         doc = minimal_doc()
-        doc["impedance"] = {"provider": "file", "file": "zss.cmat"}
+        doc["impedance"] = {"file": "zss.cmat"}
         (tmp_path / "zss.cmat").write_text("# cmatrix 0 0\n")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))

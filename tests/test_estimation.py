@@ -102,6 +102,18 @@ class TestMmseForms:
         assert h_hat[0] == pytest.approx(1.0, rel=1e-8)
         assert abs(h_hat[1]) == pytest.approx(0.5, rel=1e-8)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-200.0, 200.0))
+    def test_reduced_analytic_mse_scales_with_prior_and_noise(self, seed, log_scale):
+        # (s d, s sigma^2) is the same problem in other units, so its MSE is
+        # s times as large, with no d * sigma^2 product to leave the range
+        cov = random_rank_deficient_cov(8, 3, seed=seed % 1000)
+        u, d = reduce_subspace(cov, l_fixed=cov.rank)
+        s = 10.0**log_scale
+        _, mse = mmse_reduced(u, d, sigma_z2=0.4)
+        _, scaled = mmse_reduced(u, s * d, sigma_z2=s * 0.4)
+        assert scaled == pytest.approx(s * mse, rel=1e-12)
+
     def test_zero_observation_zero_estimate(self):
         cov = random_rank_deficient_cov(8, 3, seed=2)
         u, d = reduce_subspace(cov, l_fixed=cov.rank)
@@ -289,6 +301,15 @@ class TestMonteCarlo:
         est = estimator(rsls_ideal(u, 0.2), u.conj().T, cov, 0.2)
         with pytest.raises(ConfigurationError):
             monte_carlo_mse(est, trials=10, rng_seed=0)
+
+    def test_non_finite_mse_is_estimation_error(self):
+        # squared errors near 1e200 square to infinity in the variance
+        cov = random_rank_deficient_cov(8, 3, seed=31)
+        big = covariance_from_matrix(1e200 * cov.r_h)
+        u, _ = reduce_subspace(big, l_fixed=big.rank)
+        est = estimator(rsls_ideal(u, 1e199), u.conj().T, big, 1e199)
+        with pytest.raises(EstimationError, match="Monte Carlo MSE is not finite"):
+            monte_carlo_mse(est, trials=100, rng_seed=0)
 
     def test_gaussian_draws_match_covariance(self):
         cov = random_rank_deficient_cov(8, 4, seed=32)

@@ -18,7 +18,6 @@ from simloc.multiport import (
     effective_projection_matrix,
     effective_projection_rowsolve,
     mutual_coupling,
-    port_index,
     port_positions,
     row_orthonormality_gap,
     wrap_phase,
@@ -112,7 +111,7 @@ class TestBuildImpedance:
         np.testing.assert_array_equal(build_impedance(sim, params), expected)
 
         k = sim.elements_per_layer
-        out_ports = [port_index(layers - 1, e, "out", k) for e in range(k)]
+        out_ports = [2 * ((layers - 1) * k + e) + 1 for e in range(k)]  # last layer's outputs
         diff = rx.positions[:, None, :] - ppos[None, out_ports, :]
         coupling = mutual_coupling(np.sqrt((diff**2).sum(axis=2)), params.beta, sim.wavelength)
         c_out = build_output_coupling(rx, sim, params)
@@ -319,7 +318,7 @@ class TestEffectiveProjection:
         net = desk_network(k_y=16, layers=3, m=4, seed=3)
         t = np.linalg.inv(total_impedance(net))
         e_in = np.zeros((net.n_ports, net.n_inputs), dtype=complex)
-        e_in[net.input_port_indices(), np.arange(net.n_inputs)] = 1.0
+        e_in[2 * np.arange(net.n_inputs), np.arange(net.n_inputs)] = 1.0
         oracle = net.c_out @ t @ e_in
         got = effective_projection_matrix(net)
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
@@ -393,13 +392,12 @@ class TestRowOrthonormalityGap:
 
 class TestPortMap:
     def test_port_index_layout(self):
-        k = 4
-        assert port_index(0, 0, "in", k) == 0
-        assert port_index(0, 0, "out", k) == 1
-        assert port_index(1, 2, "in", k) == 12
-        assert port_index(1, 2, "out", k) == 13
-        with pytest.raises(ConfigurationError):
-            port_index(0, 0, "sideways", k)
+        # cell c, counted layer-major, has ports 2c (in) and 2c + 1 (out):
+        # the field drives the first layer's inputs, the receiver reads the
+        # last layer's outputs
+        net = desk_network(k_y=4, layers=3, m=2)
+        np.testing.assert_array_equal(net.input_ports, [0, 2, 4, 6])
+        assert np.flatnonzero(np.abs(net.c_out).sum(axis=0)).tolist() == [17, 19, 21, 23]
 
     def test_wrap_phase_range(self):
         eta = np.array([0.0, np.pi, -np.pi, 3 * np.pi, -2.5 * np.pi])

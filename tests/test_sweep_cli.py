@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tempfile
 from dataclasses import astuple, replace
 from importlib import resources
@@ -603,12 +604,14 @@ class TestCli:
         assert "digital-baseline" in err
 
     @pytest.mark.parametrize(
-        "argv, snr_db", [(["bounds"], 140.0), (["sweep", "--no-sim"], 200.0)],
+        "argv, snr_db",
+        [(["bounds"], 140.0), (["sweep", "--no-sim", "--no-localizer"], 200.0)],
         ids=["bounds-140dB", "sweep-200dB"],
     )
     def test_exact_estimate_residual_is_numerical_error(self, tmp_path, capsys, argv, snr_db):
         # at a point region the exact MMSE residual over K rounds to <= 0:
         # a numerical outcome of a legal document, not a configuration error
+        # (the sweep's PEB needs no localizer, which a point region refuses)
         doc = desk_doc(
             region={"diameter_m": 0.0}, noise={"snr_db": [snr_db]},
             sweep={"distances_m": [0.4], "bearings_rad": [0.0], "trials": 100},
@@ -809,6 +812,43 @@ class TestCli:
             "mmse-ideal", "rsls-ideal", "digital-baseline"
         }
 
+    def test_overflowing_monte_carlo_mse_is_numerical_error(self, tmp_path, capsys):
+        # at a gain of 1e100 the squared errors reach 1e200 and their
+        # variance overflows: exit 5, not a report holding Infinity
+        doc = json.loads(resources.files("simloc.presets").joinpath("desk_scale.json").read_text())
+        doc["gain"]["mean_gain"] = 1e100
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["estimate", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert "Monte Carlo MSE is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "estimate_report.json").exists()
+
+    def test_point_region_localizer_fails_up_front_naming_the_key(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the localizer searches the prior region: a point region is refused
+        # before the cell's covariance and Monte Carlo work, naming the key
+        # and the flag that turns the localizer off
+        doc = json.loads(resources.files("simloc.presets").joinpath("desk_scale.json").read_text())
+        doc["region"]["diameter_m"] = 0.0
+        doc["sweep"].update(distances_m=[0.3], bearings_rad=[0.0])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        calls = {"n": 0}
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return estimate_covariance(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "estimate_covariance", counting)
+        code = main(["sweep", "--no-sim", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "region.diameter_m" in err and "--no-localizer" in err
+        assert calls["n"] == 0
+
     def test_optimize_sim_with_subspace_estimates_no_covariance(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_SMALL_SCENARIO))
@@ -870,12 +910,30 @@ def test_tiny_scenarios_end_in_a_documented_exit(
         cfg_path.write_text(json.dumps(doc))
         rng = np.random.default_rng(seed)
         save_real_vector(eta_path, rng.uniform(-np.pi, np.pi, k_y * layers))
-        for argv in (
+        for i, argv in enumerate((
             ["covariance"], ["estimate"], ["bounds"], ["bounds", "--eta", str(eta_path)],
-            ["sweep", "--no-sim", "--no-localizer"],
-        ):
-            code = main([*argv, "--config", str(cfg_path), "--out-dir", str(Path(tmp) / "out")])
+            ["sweep", "--no-sim", "--no-localizer"], ["sweep", "--no-sim"],
+        )):
+            out = Path(tmp) / f"out{i}"
+            code = main([*argv, "--config", str(cfg_path), "--out-dir", str(out)])
             assert code in (0, 2, 3, 4, 5), argv
+            if code == 0:  # a success writes only finite MSEs
+                assert all(math.isfinite(x) for x in _written_mses(out)), argv
+
+
+def _written_mses(out: Path) -> list:
+    """Every MSE, and its standard error, in a command's estimate report or
+    sweep records."""
+    values = []
+    if (out / "estimate_report.json").exists():
+        for row in json.loads((out / "estimate_report.json").read_text()):
+            values += [row["analytic_mse"], row["normalized_analytic_mse"],
+                       row["empirical_mse"], row["empirical_stderr"]]
+    if (out / "sweep.csv").exists():
+        for rec in load_records(out / "sweep.csv"):
+            if rec.metric.startswith("mse_"):
+                values += [rec.value, rec.stderr]
+    return values
 
 
 class TestCliPipelines:
